@@ -17,18 +17,15 @@ from .problems import (
     NoisyProblem,
     Problem,
     diag_quadratic,
-    evaluate,
     load_suite,
     registry_manifest,
     suite_names,
-    with_noise,
 )
 from .scaling import ScalingState, ScalingStrategy, init_scaling, update_scaling
 from .sharpness import (
     Interpolant,
     KnotSequence,
     build_counterexample,
-    hermite_fn,
     interpolant_problem,
     lambert_wm1,
     verify_sharpness,
@@ -43,10 +40,9 @@ __all__ = [
     "NoisyProblem", "Problem", "RunConfig", "RunRecord", "ScalingState",
     "ScalingStrategy", "TheoryConstants", "TrustRegion", "aggregate", "apply_model",
     "astr1", "build_counterexample", "cauchy_point", "constants_from_run",
-    "diag_quadratic", "evaluate", "fdecrease_margins", "hermite_fn", "init_model",
-    "init_scaling", "interpolant_problem", "lambert_wm1", "load_suite",
-    "make_region", "quadratic_testbed", "registry_manifest", "run_matrix",
-    "run_variant", "sdba", "series_suite", "solve_tr_step", "success",
-    "suite_names", "theory_check", "update_model", "update_scaling",
-    "variant_config", "verify_sharpness", "with_noise", "zeta",
+    "diag_quadratic", "fdecrease_margins", "init_model", "init_scaling",
+    "interpolant_problem", "lambert_wm1", "load_suite", "make_region",
+    "quadratic_testbed", "registry_manifest", "run_matrix", "run_variant", "sdba",
+    "series_suite", "solve_tr_step", "success", "suite_names", "theory_check",
+    "update_model", "update_scaling", "variant_config", "verify_sharpness", "zeta",
 ]

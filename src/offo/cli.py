@@ -15,8 +15,7 @@ from .problems import load_suite
 from .driver import RunConfig, astr1, save_record, variant_config
 from .scaling import VARIANT_TAGS, ScalingStrategy
 
-ALL_VARIANTS = ["adag1", "adagi1", "adag2", "adagi2", "maxg01", "maxgi01",
-                "sdba", "b1adagi1", "lmadagi3b", "Eadagi1"]
+ALL_VARIANTS = [*driver.VARIANTS, "sdba"]
 
 
 def _add_solve(sub):
@@ -131,7 +130,6 @@ def _cmd_sharpness(args) -> int:
 
 def _add_check(sub):
     p = sub.add_parser("check", help="run the theory-verification battery")
-    p.add_argument("--theory", action="store_true", default=True)
     p.add_argument("--iters", type=int, default=10000)
     p.add_argument("--out", default=None, help="write the report as JSON")
 

@@ -16,13 +16,18 @@ import numpy as np
 
 from .errors import InvalidParameter, NonFiniteValue
 from .model import init_model, update_model
-from .problems import Problem, with_noise
+from .problems import NoisyProblem, Problem
 from .scaling import ScalingStrategy, init_scaling, update_scaling
 from .step import cauchy_point, make_region, model_value, solve_tr_step
 
 STATUS_CONVERGED = "converged"
 STATUS_BUDGET = "budget-exhausted"
 STATUS_OVERFLOW = "overflow-failure"
+
+#: sufficient-decrease constant, step shrink factor and backtrack budget of sdba
+ARMIJO_C = 1e-4
+ARMIJO_FACTOR = 0.5
+ARMIJO_MAX_BACKTRACKS = 60
 
 #: variant tag -> (scaling tag, model kind, trust-region norm)
 VARIANTS = {
@@ -51,13 +56,8 @@ class RunConfig:
     noise_level: float = 0.0
     noise_seed: int = 0
     kappaB: float = 1e6
-    cg_max: Optional[int] = None
-    assertions: bool = True
     record_f: bool = False
     keep_trace: bool = False
-    armijo_c: float = 1e-4
-    armijo_factor: float = 0.5
-    armijo_max_backtracks: int = 60
     variant: Optional[str] = None
 
     def __post_init__(self):
@@ -108,25 +108,6 @@ class RunRecord:
         return self.neval["gradient"]
 
 
-class _Counting:
-    """Per-run oracle wrapper counting calls to each oracle kind."""
-
-    def __init__(self, problem):
-        self.problem = problem
-        self.counts = {"value": 0, "gradient": 0, "hessian": 0}
-
-    def evaluate(self, x, want):
-        for kind in want:
-            self.counts[kind] += 1
-        return self.problem.evaluate(x, want)
-
-
-def _wrap(problem: Problem, config: RunConfig):
-    if config.noise_level > 0:
-        return _Counting(with_noise(problem, config.noise_level, config.noise_seed))
-    return _Counting(problem)
-
-
 class _Trace:
     """Column-wise trace accumulator (iterate rows + step rows)."""
 
@@ -173,11 +154,13 @@ def astr1(problem: Problem, config: RunConfig) -> RunRecord:
     Each iteration evaluates the gradient, updates the scaling vector and the
     Hessian model, computes the generalized Cauchy point, solves the
     trust-region subproblem and steps.  Stops on the gradient norm test, on
-    budget exhaustion, or when an oracle overflows (recorded as a result, not
-    raised).
+    budget exhaustion, or when an oracle (gradient or, for the exact model,
+    Hessian) overflows, which is recorded as a result, not raised.  The
+    contract checks (step in the region, Cauchy fraction, scaling floor) run
+    on every iteration and are counted in ``counters``.
     """
     n = problem.n
-    oracle = _wrap(problem, config)
+    oracle = NoisyProblem(problem, config.noise_level, config.noise_seed)
     strategy = config.strategy
     state = init_scaling(strategy, n)
     model = init_model(config.model if config.model != "none" else "zero", n, config.kappaB)
@@ -216,27 +199,28 @@ def astr1(problem: Problem, config: RunConfig) -> RunRecord:
             # squared-gradient accumulators can overflow even for finite g
             status = STATUS_OVERFLOW
             break
-        if config.assertions and not np.all(w >= strategy.floor):
+        if not np.all(w >= strategy.floor):
             counters["wfloor_violations"] += 1
         tr = make_region(config.norm, g, w)
-        if k == 0:
-            update_model(model, None, None, x, oracle)
-        else:
-            update_model(model, prev_s, g - prev_g, x, oracle)
+        try:
+            update_model(model, prev_s, None if k == 0 else g - prev_g, x, oracle)
+        except NonFiniteValue:
+            # the exact model's Hessian can overflow where the gradient does not
+            status = STATUS_OVERFLOW
+            break
         cp = cauchy_point(g, model, tr)
-        s = solve_tr_step(g, model, tr, config.tau, config.cg_max, cauchy=cp)
+        s = solve_tr_step(g, model, tr, config.tau, cauchy=cp)
 
-        if config.assertions:
-            if config.norm == "inf":
-                feasible = bool(np.all(np.abs(s) <= tr.radii))
-            else:
-                feasible = float(np.linalg.norm(s)) <= tr.radius * (1.0 + 1e-12)
-            if not feasible:
-                counters["sbound_violations"] += 1
-            q_s = model_value(g, model, s)
-            q_c = model_value(g, model, cp.sQ)
-            if q_s > config.tau * q_c:
-                counters["gcp_violations"] += 1
+        if config.norm == "inf":
+            feasible = bool(np.all(np.abs(s) <= tr.radii))
+        else:
+            feasible = float(np.linalg.norm(s)) <= tr.radius * (1.0 + 1e-12)
+        if not feasible:
+            counters["sbound_violations"] += 1
+        q_s = model_value(g, model, s)
+        q_c = model_value(g, model, cp.sQ)
+        if q_s > config.tau * q_c:
+            counters["gcp_violations"] += 1
 
         if config.keep_trace:
             trace.step(w, tr.radii, s, cp.qdec, model.norm_bound())
@@ -261,7 +245,7 @@ def astr1(problem: Problem, config: RunConfig) -> RunRecord:
 
 def sdba(problem: Problem, config: RunConfig) -> RunRecord:
     """Steepest descent with Armijo backtracking (the f-evaluating baseline)."""
-    oracle = _wrap(problem, config)
+    oracle = NoisyProblem(problem, config.noise_level, config.noise_seed)
     counters = {"sbound_violations": 0, "gcp_violations": 0,
                 "wfloor_violations": 0, "armijo_stalls": 0}
     trace = _Trace(config.keep_trace, True)
@@ -293,15 +277,15 @@ def sdba(problem: Problem, config: RunConfig) -> RunRecord:
         gd = float(g @ d)
         alpha = 1.0
         accepted = False
-        for _ in range(config.armijo_max_backtracks + 1):
+        for _ in range(ARMIJO_MAX_BACKTRACKS + 1):
             try:
                 f_trial = oracle.evaluate(x + alpha * d, ("value",))["value"]
             except NonFiniteValue:
                 f_trial = np.inf  # reject the trial point, keep backtracking
-            if f_trial <= fval + config.armijo_c * alpha * gd:
+            if f_trial <= fval + ARMIJO_C * alpha * gd:
                 accepted = True
                 break
-            alpha *= config.armijo_factor
+            alpha *= ARMIJO_FACTOR
         if not accepted:
             counters["armijo_stalls"] += 1
             status = STATUS_BUDGET
@@ -354,6 +338,8 @@ def fdecrease_margins(record: RunRecord, L: Optional[float] = None,
     t = ws.shape[0]
     if t == 0:
         return np.zeros(0)
+    if ws.shape != ss.shape:
+        raise InvalidParameter("fdecrease needs a trust-region run, not sdba")
     if L is None:
         dg = np.linalg.norm(gs[1 : t + 1] - gs[:t], axis=1)
         ds = np.linalg.norm(ss, axis=1)

@@ -1,4 +1,4 @@
-"""Differentiable test problems, their oracles, and the noise wrapper.
+"""Differentiable test problems, their oracles, and the per-run noisy oracle.
 
 The suite is a low-dimensional subset of a classical unconstrained testing
 collection (More-Garbow-Hillstrom / CUTE style definitions), each problem
@@ -101,15 +101,17 @@ class Problem:
 
 
 class NoisyProblem:
-    """Wraps a problem with componentwise relative Gaussian noise.
+    """The per-run oracle of a problem: call counts and relative noise.
 
-    Every oracle output component y is replaced by ``y * (1 + level * xi)``
-    where xi is a standard normal from a counter-based stream keyed by
-    (seed, query index, quantity); within one query the draws are assigned to
-    components in order, so which quantities are requested together does not
-    change any one quantity's noise.  Two instances with equal
-    (base, level, seed) produce identical outputs for identical query
-    sequences.
+    ``counts`` holds the number of calls per oracle kind, including calls
+    that overflowed.  Every oracle output component y is replaced by
+    ``y * (1 + level * xi)`` where xi is a standard normal from a
+    counter-based stream keyed by (seed, query index, quantity); within one
+    query the draws are assigned to components in order, so which quantities
+    are requested together does not change any one quantity's noise.  Two
+    instances with equal (base, level, seed) produce identical outputs for
+    identical query sequences.  At level 0 the base outputs are returned
+    untouched, so the same class is the noiseless oracle.
     """
 
     _KIND_INDEX = {"value": 0, "gradient": 1, "hessian": 2}
@@ -120,26 +122,11 @@ class NoisyProblem:
         self.base = base
         self.level = float(level)
         self.seed = int(seed)
+        self.counts = dict.fromkeys(WANT_KINDS, 0)
         self._query_index = 0
         key = [self.seed & 0xFFFFFFFFFFFFFFFF, (self.seed >> 64) & 0xFFFFFFFFFFFFFFFF]
         self._bitgen = np.random.Philox(counter=[0, 0, 0, 0], key=key)
         self._gen = np.random.Generator(self._bitgen)
-
-    @property
-    def name(self) -> str:
-        return self.base.name
-
-    @property
-    def n(self) -> int:
-        return self.base.n
-
-    @property
-    def x0(self) -> np.ndarray:
-        return self.base.x0
-
-    @property
-    def f_ref(self):
-        return self.base.f_ref
 
     def _draws(self, query: int, kind: str, size: int) -> np.ndarray:
         # rewind the counter-based stream to the (query, quantity) block;
@@ -153,6 +140,10 @@ class NoisyProblem:
         return self._gen.standard_normal(size)
 
     def evaluate(self, x, want: Iterable[str]) -> dict:
+        want = tuple(want)
+        for kind in want:
+            if kind in self.counts:  # the base rejects unknown kinds
+                self.counts[kind] += 1
         out = self.base.evaluate(x, want)
         query = self._query_index
         self._query_index += 1
@@ -168,27 +159,8 @@ class NoisyProblem:
                 xi = self._draws(query, kind, arr.size).reshape(arr.shape)
                 noisy[kind] = arr * (1.0 + self.level * xi)
             if not np.all(np.isfinite(noisy[kind])):
-                raise NonFiniteValue(f"{self.name}: noisy {kind} is non-finite")
+                raise NonFiniteValue(f"{self.base.name}: noisy {kind} is non-finite")
         return noisy
-
-    def value(self, x) -> float:
-        return self.evaluate(x, ("value",))["value"]
-
-    def gradient(self, x) -> np.ndarray:
-        return self.evaluate(x, ("gradient",))["gradient"]
-
-    def hessian(self, x) -> np.ndarray:
-        return self.evaluate(x, ("hessian",))["hessian"]
-
-
-def evaluate(problem, x, want: Iterable[str]) -> dict:
-    """Evaluate a (possibly noisy) problem's oracles at ``x``."""
-    return problem.evaluate(x, want)
-
-
-def with_noise(problem: Problem, level: float, seed: int) -> NoisyProblem:
-    """Attach a deterministic relative-Gaussian noise stream to a problem."""
-    return NoisyProblem(problem, level, seed)
 
 
 def diag_quadratic(lambdas, x0, name: str = "diagquad") -> Problem:

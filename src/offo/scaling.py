@@ -14,7 +14,7 @@ accumulator (built from Euclidean gradient norms) across all coordinates:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -96,9 +96,6 @@ class ScalingState:
     k: int = -1
     acc: np.ndarray = field(default=None)  # per-coordinate accumulator
     agg: float = 0.0  # shared scalar accumulator of the -agg kinds
-
-    def copy(self) -> "ScalingState":
-        return replace(self, acc=None if self.acc is None else self.acc.copy())
 
 
 def init_scaling(strategy: ScalingStrategy, n: int) -> ScalingState:

@@ -259,14 +259,9 @@ class Interpolant:
         return float(out[0]) if scalar else out
 
 
-def hermite_fn(knots: KnotSequence) -> Interpolant:
-    """Build the piecewise-cubic realization of a knot sequence."""
-    return Interpolant(knots)
-
-
-def interpolant_problem(knots: KnotSequence, interp: Optional[Interpolant] = None) -> Problem:
-    """Wrap the interpolant as a 1-D problem the driver can run on."""
-    fn = interp if interp is not None else hermite_fn(knots)
+def interpolant_problem(knots: KnotSequence) -> Problem:
+    """Wrap the piecewise-cubic interpolant as a 1-D problem the driver can run on."""
+    fn = Interpolant(knots)
     return Problem(
         name=f"{knots.kind}-interp",
         n=1,
@@ -331,7 +326,7 @@ def export_grid(knots: KnotSequence, path: str, num: Optional[int] = None,
     convenience; slopes are untouched).  Default resolution is 2000 points
     per decade of the knot count.
     """
-    fn = hermite_fn(knots)
+    fn = Interpolant(knots)
     if num is None:
         num = 2000 * max(1, int(np.ceil(np.log10(knots.knot_count))))
     grid = np.linspace(knots.x[0], knots.x[-1], num)

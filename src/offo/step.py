@@ -22,6 +22,8 @@ NORMS = ("inf", "two")
 #: gradient-relative and absolute floors of the CG residual tolerance
 CG_RTOL = 1e-5
 CG_ATOL = 1e-12
+#: model products the CG solvers may spend, per dimension
+CG_PRODUCTS_PER_DIM = 5
 
 
 @dataclass(frozen=True)
@@ -86,7 +88,6 @@ def solve_tr_step(
     model: HessianModel,
     tr: TrustRegion,
     tau: float = 0.1,
-    cg_max: int = None,
     cauchy: CauchyData = None,
 ) -> np.ndarray:
     """Approximately minimize the quadratic model inside the trust region.
@@ -94,8 +95,8 @@ def solve_tr_step(
     Runs projected truncated CG on the box (inf norm) or Steihaug-Toint CG on
     the ball (two norm).  The ball solver stops at the first crossing of
     ||g + Bs||_2 <= max(1e-12, 1e-5 ||g||_2); the box solver keeps polishing
-    the free subspace within the ``cg_max`` product budget so that it lands on
-    the exact box minimizer of convex models (the same inequality then holds
+    the free subspace within the 5n product budget so that it lands on the
+    exact box minimizer of convex models (the same inequality then holds
     with room to spare).  If the iterate fails the Cauchy-fraction test it is
     discarded in favour of sQ.  Callers that already computed the Cauchy data
     may pass it in.
@@ -105,9 +106,6 @@ def solve_tr_step(
         raise NonFiniteInput("gradient contains NaN or inf")
     if not 0.0 < tau <= 1.0:
         raise InvalidParameter(f"tau must lie in (0,1], got {tau}")
-    n = g.size
-    if cg_max is None:
-        cg_max = 5 * n
 
     cp = cauchy if cauchy is not None else cauchy_point(g, model, tr)
     if model.is_zero:
@@ -120,9 +118,9 @@ def solve_tr_step(
             sigma = model.scale * model.sigma
             s = np.clip(-g / sigma, -tr.radii, tr.radii)
         else:
-            s = _projected_cg_box(g, model, tr.radii, cg_max)
+            s = _projected_cg_box(g, model, tr.radii)
     else:
-        s = _steihaug_toint(g, model, tr.radius, cg_max)
+        s = _steihaug_toint(g, model, tr.radius)
 
     q_s = model_value(g, model, s)
     q_cauchy = model_value(g, model, cp.sQ)
@@ -135,7 +133,7 @@ def _cg_tol(g: np.ndarray) -> float:
     return max(CG_ATOL, CG_RTOL * float(np.linalg.norm(g)))
 
 
-def _projected_cg_box(g, model, delta, cg_max):
+def _projected_cg_box(g, model, delta):
     """Truncated CG restricted to free coordinates of the box |s_i| <= delta_i.
 
     When a coordinate hits its face it is clamped there and frozen and CG
@@ -145,6 +143,7 @@ def _projected_cg_box(g, model, delta, cg_max):
     so on convex problems the exact box minimizer is reached.
     """
     n = g.size
+    budget = CG_PRODUCTS_PER_DIM * n
     s = np.zeros(n)
     free = delta > 0.0
     # polish to near-machine residual within the product budget: the box
@@ -153,7 +152,7 @@ def _projected_cg_box(g, model, delta, cg_max):
     tol = max(CG_ATOL, 1e-14 * float(np.linalg.norm(g)))
     products = 0
 
-    while products < cg_max:
+    while products < budget:
         r = g + apply_model(model, s)
         products += 1
         converged = not free.any() or np.linalg.norm(r[free]) <= tol
@@ -166,13 +165,13 @@ def _projected_cg_box(g, model, delta, cg_max):
                 break
             free |= release
             continue
-        products = _cg_on_free(model, s, r, free, delta, tol, cg_max, products)
+        products = _cg_on_free(model, s, r, free, delta, tol, budget, products)
 
     np.clip(s, -delta, delta, out=s)
     return s
 
 
-def _cg_on_free(model, s, r, free, delta, tol, cg_max, products):
+def _cg_on_free(model, s, r, free, delta, tol, budget, products):
     """One CG sweep over the current free set; mutates s, r and free.
 
     Ends when a face is hit (that coordinate is clamped and frozen), the
@@ -181,7 +180,7 @@ def _cg_on_free(model, s, r, free, delta, tol, cg_max, products):
     """
     p = np.where(free, -r, 0.0)
     rfree2 = float(r[free] @ r[free])
-    while products < cg_max:
+    while products < budget:
         bp = apply_model(model, p)
         products += 1
         curv = float(p @ bp)
@@ -227,7 +226,7 @@ def _box_step(s, p, delta, free):
     return alpha, hit
 
 
-def _steihaug_toint(g, model, radius, cg_max):
+def _steihaug_toint(g, model, radius):
     """Classic truncated CG on the Euclidean ball of the given radius."""
     n = g.size
     s = np.zeros(n)
@@ -238,7 +237,7 @@ def _steihaug_toint(g, model, radius, cg_max):
     if np.linalg.norm(r) <= tol:
         return s
     p = -r
-    for _ in range(cg_max):
+    for _ in range(CG_PRODUCTS_PER_DIM * n):
         bp = apply_model(model, p)
         curv = float(p @ bp)
         if curv <= 0.0:

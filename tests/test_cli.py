@@ -68,7 +68,7 @@ class TestSharpness:
 class TestCheck:
     def test_battery_passes_and_writes_report(self, tmp_path, capsys):
         path = tmp_path / "report.json"
-        rc = main(["check", "--theory", "--iters", "400", "--out", str(path)])
+        rc = main(["check", "--iters", "400", "--out", str(path)])
         assert rc == 0
         blob = json.loads(path.read_text())
         assert all(c["passed"] for c in blob["checks"])

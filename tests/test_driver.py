@@ -128,6 +128,20 @@ class TestOverflow:
         rec = astr1(p, variant_config("adagi1", max_iter=50))
         assert rec.status == "overflow-failure"
 
+    def test_hessian_overflow_with_finite_gradient(self):
+        # at x0, exp(a x0) = 1e-10: g = 1e150 is finite, h = a^2 * 1e-10 is not
+        a = 1e160
+        p = Problem(
+            name="steephess", n=1, x0=np.array([np.log(1e-10) / a]),
+            f=lambda x: float(np.exp(a * x[0])),
+            g=lambda x: np.array([a * np.exp(a * x[0])]),
+            h=lambda x: np.array([[a * a * np.exp(a * x[0])]]),
+        )
+        assert run_variant(p, "adagi1", max_iter=50).status == "converged"
+        rec = run_variant(p, "Eadagi1", max_iter=50)
+        assert rec.status == "overflow-failure"
+        assert rec.iters == 0
+
 
 class TestSdba:
     def test_unit_step_accepted_on_easy_quadratic(self):
@@ -160,6 +174,12 @@ class TestFdecrease:
 
     def test_requires_instrumented_trace(self):
         rec = run_variant(quad1d(), "adagi1", max_iter=10)
+        with pytest.raises(InvalidParameter):
+            fdecrease_margins(rec, L=1.0)
+        # sdba traces have no scaling vectors
+        (p,) = load_suite(["beale"])
+        rec = run_variant(p, "sdba", max_iter=10, keep_trace=True, record_f=True)
+        assert rec.iters > 0
         with pytest.raises(InvalidParameter):
             fdecrease_margins(rec, L=1.0)
 

@@ -123,9 +123,9 @@ class TestExact:
         np.testing.assert_array_equal(dense_of(m, 2), np.diag([2.0, 3.0]))
 
     def test_symmetrised_under_noise(self):
-        from offo.problems import diag_quadratic, with_noise
+        from offo.problems import NoisyProblem, diag_quadratic
 
-        p = with_noise(diag_quadratic([2.0, 3.0], [1.0, 1.0]), 0.3, 11)
+        p = NoisyProblem(diag_quadratic([2.0, 3.0], [1.0, 1.0]), 0.3, 11)
         m = init_model("exact", 2)
         update_model(m, None, None, x_next=np.array([0.5, 0.5]), problem=p)
         dense = dense_of(m, 2)

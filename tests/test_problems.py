@@ -8,14 +8,13 @@ from offo.errors import (
     UnknownProblem,
 )
 from offo.problems import (
+    NoisyProblem,
     Problem,
     diag_quadratic,
-    evaluate,
     fd_hessian,
     load_suite,
     registry_manifest,
     suite_names,
-    with_noise,
 )
 
 #: dimensions as printed in the source collection's problem table
@@ -65,36 +64,36 @@ class TestRegistry:
 class TestEvaluate:
     def test_beale_values(self):
         (p,) = load_suite(["beale"])
-        out = evaluate(p, np.array([1.0, 1.0]), ("value", "gradient"))
+        out = p.evaluate(np.array([1.0, 1.0]), ("value", "gradient"))
         assert out["value"] == 14.203125
         np.testing.assert_allclose(out["gradient"], [0.0, 27.75], rtol=0, atol=0)
 
     def test_quadratic_all_oracles(self):
         p = diag_quadratic([1.0], [3.0])
-        out = evaluate(p, np.array([3.0]), ("value", "gradient", "hessian"))
+        out = p.evaluate(np.array([3.0]), ("value", "gradient", "hessian"))
         assert out["value"] == 4.5
         assert out["gradient"][0] == 3.0
         assert out["hessian"][0, 0] == 1.0
 
     def test_returns_exactly_requested(self):
         (p,) = load_suite(["beale"])
-        out = evaluate(p, p.x0, ("gradient",))
+        out = p.evaluate(p.x0, ("gradient",))
         assert set(out) == {"gradient"}
 
     def test_empty_want_rejected(self):
         (p,) = load_suite(["beale"])
         with pytest.raises(InvalidParameter):
-            evaluate(p, p.x0, ())
+            p.evaluate(p.x0, ())
 
     def test_dimension_mismatch(self):
         (p,) = load_suite(["beale"])
         with pytest.raises(DimensionMismatch):
-            evaluate(p, np.zeros(3), ("value",))
+            p.evaluate(np.zeros(3), ("value",))
 
     def test_overflow_reported(self):
         (p,) = load_suite(["cliff"])
         with pytest.raises(NonFiniteValue):
-            evaluate(p, np.array([200.0, -200.0]), ("value",))
+            p.evaluate(np.array([200.0, -200.0]), ("value",))
 
 
 def _fd_gradient(p, x):
@@ -131,7 +130,7 @@ def test_oracle_consistency_at_six_points(name):
 class TestNoise:
     def test_level_zero_is_identity(self):
         (p,) = load_suite(["beale"])
-        noisy = with_noise(p, 0.0, 123)
+        noisy = NoisyProblem(p, 0.0, 123)
         for _ in range(3):
             out = noisy.evaluate(p.x0, ("value", "gradient"))
         clean = p.evaluate(p.x0, ("value", "gradient"))
@@ -140,8 +139,8 @@ class TestNoise:
 
     def test_equal_query_sequences_are_identical(self):
         (p,) = load_suite(["woods"])
-        a = with_noise(p, 0.05, 99)
-        b = with_noise(p, 0.05, 99)
+        a = NoisyProblem(p, 0.05, 99)
+        b = NoisyProblem(p, 0.05, 99)
         rng = np.random.default_rng(0)
         for _ in range(5):
             x = p.x0 + rng.standard_normal(p.n)
@@ -152,8 +151,8 @@ class TestNoise:
 
     def test_order_within_query_does_not_matter(self):
         (p,) = load_suite(["woods"])
-        a = with_noise(p, 0.05, 7)
-        b = with_noise(p, 0.05, 7)
+        a = NoisyProblem(p, 0.05, 7)
+        b = NoisyProblem(p, 0.05, 7)
         ga = a.evaluate(p.x0, ("gradient",))["gradient"]
         both = b.evaluate(p.x0, ("value", "gradient"))
         np.testing.assert_array_equal(ga, both["gradient"])
@@ -161,7 +160,7 @@ class TestNoise:
     def test_multiplicative_form_matches_reference_stream(self):
         base = diag_quadratic([1.0, 1.0], [1.0, -2.0])
         level, seed = 0.05, 321
-        noisy = with_noise(base, level, seed)
+        noisy = NoisyProblem(base, level, seed)
         x = np.array([2.0, -4.0])
         got = noisy.evaluate(x, ("gradient",))["gradient"]
         xi = noisy._draws(0, "gradient", 2)
@@ -170,18 +169,27 @@ class TestNoise:
 
     def test_noise_changes_with_seed_and_query(self):
         (p,) = load_suite(["beale"])
-        n1 = with_noise(p, 0.1, 1)
-        n2 = with_noise(p, 0.1, 2)
+        n1 = NoisyProblem(p, 0.1, 1)
+        n2 = NoisyProblem(p, 0.1, 2)
         g1 = n1.evaluate(p.x0, ("gradient",))["gradient"]
         g2 = n2.evaluate(p.x0, ("gradient",))["gradient"]
         assert not np.array_equal(g1, g2)
         g1b = n1.evaluate(p.x0, ("gradient",))["gradient"]
         assert not np.array_equal(g1, g1b)
 
+    def test_counts_calls_per_kind_including_overflows(self):
+        (p,) = load_suite(["cliff"])
+        oracle = NoisyProblem(p, 0.0, 0)
+        oracle.evaluate(p.x0, ("value", "gradient"))
+        oracle.evaluate(p.x0, ("gradient",))
+        with pytest.raises(NonFiniteValue):
+            oracle.evaluate(np.array([200.0, -200.0]), ("value",))
+        assert oracle.counts == {"value": 2, "gradient": 2, "hessian": 0}
+
     def test_negative_level_rejected(self):
         (p,) = load_suite(["beale"])
         with pytest.raises(InvalidParameter):
-            with_noise(p, -0.1, 0)
+            NoisyProblem(p, -0.1, 0)
 
     def test_unbiased_at_desk_scale(self):
         """Mean over 1e4 seeds matches the clean gradient componentwise to
@@ -193,7 +201,7 @@ class TestNoise:
         total = np.zeros(2)
         n_seeds = 10**4
         for seed in range(n_seeds):
-            total += with_noise(base, level, seed).evaluate(x, ("gradient",))["gradient"]
+            total += NoisyProblem(base, level, seed).evaluate(x, ("gradient",))["gradient"]
         mean = total / n_seeds
         assert np.all(np.abs(mean - g) <= 3.0 * level * np.abs(g) / 100.0)
 

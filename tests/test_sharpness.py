@@ -5,11 +5,11 @@ from scipy import special
 from offo.driver import RunConfig, astr1, run_variant
 from offo.errors import ConfigMismatch, InvalidParameter, OutOfDomain
 from offo.sharpness import (
+    Interpolant,
     KnotSequence,
     build_counterexample,
     export_grid,
     export_knots,
-    hermite_fn,
     interpolant_problem,
     lambert_wm1,
     verify_sharpness,
@@ -137,7 +137,7 @@ class TestBuildSharp2:
 class TestInterpolant:
     def test_knot_interpolation_exact(self):
         knots = build_counterexample("sharp1", {"mu": 0.5, "eta": 0.01}, 500)
-        fn = hermite_fn(knots)
+        fn = Interpolant(knots)
         vals = fn(knots.x, 0)
         slopes = fn(knots.x, 1)
         assert np.max(np.abs(vals - knots.f)) <= 1e-12
@@ -149,12 +149,12 @@ class TestInterpolant:
             x=np.array([0.0, 1.0]), f=np.array([0.0, 1.0]),
             g=np.array([0.0, 0.0]), s=np.array([1.0]), kappa_f=1.0,
             strategy=None)
-        fn = hermite_fn(knots)
+        fn = Interpolant(knots)
         assert fn(0.5, 0) == 0.5
 
     def test_out_of_domain_left_only(self):
         knots = build_counterexample("sharp1", {"mu": 0.5, "eta": 0.01}, 20)
-        fn = hermite_fn(knots)
+        fn = Interpolant(knots)
         with pytest.raises(OutOfDomain):
             fn(-1e-9)
         # beyond the last knot: constant-slope linear extension
@@ -166,7 +166,7 @@ class TestInterpolant:
     def test_second_derivative_bounded_over_first_spans(self):
         knots = build_counterexample("sharp1", {"mu": 0.5, "eta": 0.01,
                                                 "varsigma": 0.01}, 100)
-        fn = hermite_fn(knots)
+        fn = Interpolant(knots)
         grid = np.linspace(knots.x[0], knots.x[-1], 20001)
         curv = fn(grid, 2)
         kf = knots.kappa_f
@@ -175,7 +175,7 @@ class TestInterpolant:
 
     def test_interpolant_min_above_zero_band(self):
         knots = build_counterexample("sharp1", {"mu": 0.5, "eta": 0.01}, 1000)
-        fn = hermite_fn(knots)
+        fn = Interpolant(knots)
         grid = np.linspace(knots.x[0], knots.x[-1], 50001)
         assert float(np.min(fn(grid, 0))) >= -1e-9
 
