@@ -19,7 +19,7 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from .driver import RunRecord, run_variant
+from .driver import RunRecord, euclidean_norm, run_variant
 from .errors import (
     EmptyResults,
     InvalidParameter,
@@ -84,13 +84,13 @@ def _cell_seed(master_seed: int, variant: str, problem: str, level: float, rep: 
 
 
 def _true_finals(problem: Problem, x_final: np.ndarray):
-    if not np.all(np.isfinite(x_final)):
+    if not np.isfinite(x_final).all():
         return np.inf, np.inf
     try:
         out = problem.evaluate(x_final, ("value", "gradient"))
     except NonFiniteValue:
         return np.inf, np.inf
-    return float(out["value"]), float(np.linalg.norm(out["gradient"]))
+    return float(out["value"]), euclidean_norm(out["gradient"])
 
 
 def _scored(final_gnorm: float, final_f, problem: Problem,

@@ -9,6 +9,7 @@ descent used as the function-evaluating baseline.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import Optional, Union
 
@@ -41,6 +42,22 @@ VARIANTS = {
     "lmadagi3b": ("adagi1", "lbfgs3", "inf"),
     "Eadagi1": ("adagi1", "exact", "inf"),
 }
+
+
+#: largest n * max|g_i|^2 for which g.g surely cannot overflow
+_DOT_LIMIT = 0.5 * float(np.finfo(float).max)
+
+
+def euclidean_norm(g: np.ndarray) -> float:
+    """||g||_2 of a nonempty 1-D array: ``np.linalg.norm(g)`` bit for bit where
+    g.g cannot overflow, else computed on g divided by its largest magnitude."""
+    big = float(np.abs(g).max())
+    if big * big * g.size < _DOT_LIMIT:
+        return math.sqrt(g.dot(g))
+    if not big < math.inf:
+        return big  # inf, or nan when g holds a nan
+    u = g / big
+    return big * math.sqrt(u.dot(u))
 
 
 @dataclass(frozen=True)
@@ -185,7 +202,7 @@ def astr1(problem: Problem, config: RunConfig) -> RunRecord:
             break
         g = out["gradient"]
         fval = out.get("value")
-        gnorm = float(np.linalg.norm(g))
+        gnorm = euclidean_norm(g)
         trace.iterate(x, g, gnorm, fval)
         if gnorm <= config.eps:
             status = STATUS_CONVERGED
@@ -195,11 +212,11 @@ def astr1(problem: Problem, config: RunConfig) -> RunRecord:
             break
 
         w = update_scaling(state, g, k)
-        if not np.all(np.isfinite(w)):
+        if not np.isfinite(w).all():
             # squared-gradient accumulators can overflow even for finite g
             status = STATUS_OVERFLOW
             break
-        if not np.all(w >= strategy.floor):
+        if not (w >= strategy.floor).all():
             counters["wfloor_violations"] += 1
         tr = make_region(config.norm, g, w)
         try:
@@ -212,13 +229,13 @@ def astr1(problem: Problem, config: RunConfig) -> RunRecord:
         s = solve_tr_step(g, model, tr, config.tau, cauchy=cp)
 
         if config.norm == "inf":
-            feasible = bool(np.all(np.abs(s) <= tr.radii))
+            feasible = bool((np.abs(s) <= tr.radii).all())
         else:
             feasible = float(np.linalg.norm(s)) <= tr.radius * (1.0 + 1e-12)
         if not feasible:
             counters["sbound_violations"] += 1
         q_s = model_value(g, model, s)
-        q_c = model_value(g, model, cp.sQ)
+        q_c = q_s if s is cp.sQ else model_value(g, model, cp.sQ)
         if q_s > config.tau * q_c:
             counters["gcp_violations"] += 1
 
@@ -264,7 +281,7 @@ def sdba(problem: Problem, config: RunConfig) -> RunRecord:
             break
         g = out["gradient"]
         fval = out["value"]
-        gnorm = float(np.linalg.norm(g))
+        gnorm = euclidean_norm(g)
         trace.iterate(x, g, gnorm, fval)
         if gnorm <= config.eps:
             status = STATUS_CONVERGED

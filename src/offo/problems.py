@@ -95,7 +95,7 @@ class Problem:
                 if out["hessian"].shape != (self.n, self.n):
                     raise DimensionMismatch(f"{self.name}: hessian oracle returned wrong shape")
         for kind, val in out.items():
-            if not np.all(np.isfinite(val)):
+            if not np.isfinite(val).all():
                 raise NonFiniteValue(f"{self.name}: {kind} overflowed at the queried point")
         return out
 
@@ -158,7 +158,7 @@ class NoisyProblem:
                 arr = np.asarray(val)
                 xi = self._draws(query, kind, arr.size).reshape(arr.shape)
                 noisy[kind] = arr * (1.0 + self.level * xi)
-            if not np.all(np.isfinite(noisy[kind])):
+            if not np.isfinite(noisy[kind]).all():
                 raise NonFiniteValue(f"{self.base.name}: noisy {kind} is non-finite")
         return noisy
 

@@ -221,42 +221,56 @@ class Interpolant:
         if np.any(h <= 0.0):
             raise InvalidParameter("knot abscissae must be strictly increasing")
         df = np.diff(f) / h
-        self._h = h
         self._c2 = (3.0 * df - 2.0 * g[:-1] - g[1:]) / h
         self._c3 = (g[:-1] + g[1:] - 2.0 * df) / (h * h)
 
-    def _locate(self, x):
-        xs = self.knots.x
-        if np.any(x < xs[0]):
-            raise OutOfDomain("query left of the first knot")
-        idx = np.searchsorted(xs, x, side="right") - 1
-        return np.clip(idx, 0, len(xs) - 2)
-
     def __call__(self, x, order: int = 0):
         """Evaluate the interpolant (order 0), slope (1) or curvature (2)."""
-        x = np.asarray(x, dtype=float)
-        scalar = x.ndim == 0
-        xv = np.atleast_1d(x)
-        idx = self._locate(xv)
-        xs, f, g = self.knots.x, self.knots.f, self.knots.g
-        t = xv - xs[idx]
-        c2, c3 = self._c2[idx], self._c3[idx]
-        if order == 0:
-            out = f[idx] + g[idx] * t + c2 * t * t + c3 * t**3
-        elif order == 1:
-            out = g[idx] + 2.0 * c2 * t + 3.0 * c3 * t * t
-        elif order == 2:
-            out = 2.0 * c2 + 6.0 * c3 * t
-        else:
+        if order not in (0, 1, 2):
             raise InvalidParameter("order must be 0, 1 or 2")
-        # constant-slope extension from the last knot onward (inclusive, so
-        # the final knot itself returns its stored value and slope exactly)
+        if isinstance(x, float) or np.ndim(x) == 0:
+            return self._at(float(x), order)
+        xv = np.asarray(x, dtype=float)
+        xs, f, g = self.knots.x, self.knots.f, self.knots.g
+        if np.any(xv < xs[0]):
+            raise OutOfDomain("query left of the first knot")
+        idx = np.clip(np.searchsorted(xs, xv, side="right") - 1, 0, len(xs) - 2)
+        out = _cubic(order, xv - xs[idx], f[idx], g[idx], self._c2[idx], self._c3[idx])
         beyond = xv >= xs[-1]
         if np.any(beyond):
-            t1 = xv[beyond] - xs[-1]
-            out[beyond] = (f[-1] + g[-1] * t1, np.full(t1.shape, g[-1]),
-                           np.zeros(t1.shape))[order]
-        return float(out[0]) if scalar else out
+            out[beyond] = _linear(order, xv[beyond] - xs[-1], f[-1], g[-1])
+        return out
+
+    def _at(self, x: float, order: int) -> float:
+        """Scalar query: the same formulas on plain floats."""
+        xs, f, g = self.knots.x, self.knots.f, self.knots.g
+        if x < xs.item(0):
+            raise OutOfDomain("query left of the first knot")
+        last = len(xs) - 1
+        if x >= xs.item(last):
+            return _linear(order, x - xs.item(last), f.item(last), g.item(last))
+        i = min(int(xs.searchsorted(x, side="right")), last) - 1
+        return _cubic(order, x - xs.item(i), f.item(i), g.item(i),
+                      self._c2.item(i), self._c3.item(i))
+
+
+def _cubic(order, t, f0, g0, c2, c3):
+    """f0 + g0 t + c2 t^2 + c3 t^3 or its first or second derivative.
+
+    t^3 is a product, not ``t**3``: NumPy's vectorised power can differ from
+    the C library's in the last bit, and scalar and array queries must agree.
+    """
+    if order == 0:
+        return f0 + g0 * t + c2 * t * t + c3 * t * t * t
+    if order == 1:
+        return g0 + 2.0 * c2 * t + 3.0 * c3 * t * t
+    return 2.0 * c2 + 6.0 * c3 * t
+
+
+def _linear(order, t, f0, g0):
+    """Constant-slope extension from the last knot onward (inclusive, so the
+    final knot itself returns its stored value and slope exactly)."""
+    return (f0 + g0 * t, g0, 0.0)[order]
 
 
 def interpolant_problem(knots: KnotSequence) -> Problem:

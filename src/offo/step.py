@@ -60,6 +60,8 @@ class CauchyData:
 
 def model_value(g: np.ndarray, model: HessianModel, s: np.ndarray) -> float:
     """Quadratic model g's + 0.5 s'Bs at a step."""
+    if model.is_zero and np.shape(s) == (model.n,):
+        return float(g @ s)
     return float(g @ s + 0.5 * (s @ apply_model(model, s)))
 
 
@@ -71,9 +73,11 @@ def cauchy_point(g: np.ndarray, model: HessianModel, tr: TrustRegion) -> CauchyD
     # sL_i = -sgn(g_i) Delta_i; sgn(0) = 0 and Delta_i = 0 there anyway.
     # For the two-norm ball this is -g/w, which sits exactly on the sphere.
     sL = -np.sign(g) * tr.radii
-    bsl = apply_model(model, sL)
-    curv = float(sL @ bsl)
     gsl = float(g @ sL)  # <= 0 by construction
+    if model.is_zero and sL.shape == (model.n,):
+        # what the general formula gives for curv = +0.0, sign of zero included
+        return CauchyData(sL=sL, gamma=1.0, sQ=sL, qdec=-(gsl + 0.0))
+    curv = float(sL @ apply_model(model, sL))
     if curv > 0.0:
         gamma = min(1.0, abs(gsl) / curv)
     else:

@@ -1,9 +1,12 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from offo.driver import (
     RunConfig,
     astr1,
+    euclidean_norm,
     fdecrease_margins,
     record_to_json,
     run_variant,
@@ -125,8 +128,11 @@ class TestOverflow:
             f=lambda x: float(np.exp(x[0])),
             g=lambda x: np.array([np.exp(x[0])]),
         )
-        rec = astr1(p, variant_config("adagi1", max_iter=50))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rec = astr1(p, variant_config("adagi1", max_iter=50))
         assert rec.status == "overflow-failure"
+        assert np.isfinite(rec.final_gnorm)
 
     def test_hessian_overflow_with_finite_gradient(self):
         # at x0, exp(a x0) = 1e-10: g = 1e150 is finite, h = a^2 * 1e-10 is not
@@ -141,6 +147,22 @@ class TestOverflow:
         rec = run_variant(p, "Eadagi1", max_iter=50)
         assert rec.status == "overflow-failure"
         assert rec.iters == 0
+
+
+class TestEuclideanNorm:
+    def test_bit_identical_to_numpy_where_no_overflow(self):
+        rng = np.random.default_rng(3)
+        for n in (1, 2, 5, 12, 20):
+            for _ in range(200):
+                g = rng.standard_normal(n) * 10.0 ** rng.uniform(-150, 150)
+                assert euclidean_norm(g) == float(np.linalg.norm(g))
+
+    def test_finite_where_the_dot_product_overflows(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert euclidean_norm(np.array([3e200, -4e200])) == pytest.approx(5e200, rel=1e-15)
+            assert euclidean_norm(np.array([np.finfo(float).max])) == np.finfo(float).max
+            assert euclidean_norm(np.array([1.0, np.inf])) == np.inf
 
 
 class TestSdba:

@@ -1,5 +1,9 @@
+import functools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import special
 
 from offo.driver import RunConfig, astr1, run_variant
@@ -178,6 +182,30 @@ class TestInterpolant:
         fn = Interpolant(knots)
         grid = np.linspace(knots.x[0], knots.x[-1], 50001)
         assert float(np.min(fn(grid, 0))) >= -1e-9
+
+
+@functools.lru_cache(maxsize=None)
+def _interpolant(kind):
+    params = {"sharp1": {"mu": 0.5, "eta": 0.01}, "sharp2": {"nu": 1 / 9, "omega": 4 / 9 + 0.01}}
+    return Interpolant(build_counterexample(kind, params[kind], 300))
+
+
+@settings(max_examples=200, deadline=None)
+@given(kind=st.sampled_from(["sharp1", "sharp2"]), order=st.sampled_from([0, 1, 2]),
+       j=st.integers(0, 299), dist=st.floats(1e-300, 1e6),
+       fracs=st.lists(st.floats(0.0, 1.0, exclude_max=True), min_size=1, max_size=20))
+def test_scalar_and_array_queries_agree_bit_for_bit(kind, order, j, dist, fracs):
+    fn = _interpolant(kind)
+    xs = fn.knots.x
+    between = [xs[j] + frac * (xs[j + 1] - xs[j]) for frac in fracs]
+    for x in [xs[j], *between, xs[-1], xs[-1] + dist]:
+        scalar = fn(float(x), order)
+        assert type(scalar) is float
+        assert np.float64(scalar).tobytes() == fn(np.array([x]), order)[:1].tobytes()
+    with pytest.raises(OutOfDomain):
+        fn(float(xs[0] - dist), order)
+    with pytest.raises(OutOfDomain):
+        fn(np.array([xs[0] - dist]), order)
 
 
 class TestVerify:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from offo.errors import InvalidParameter, NonFiniteInput
+from offo.errors import DimensionMismatch, InvalidParameter, NonFiniteInput
 from offo.model import apply_model, init_model, update_model
 from offo.step import cauchy_point, make_region, model_value, solve_tr_step
 
@@ -72,6 +72,47 @@ class TestCauchyPoint:
         tr = make_region("inf", np.ones(1), np.ones(1))
         with pytest.raises(NonFiniteInput):
             cauchy_point(np.array([np.nan]), init_model("zero", 1), tr)
+
+
+class TestZeroModelShortcuts:
+    @pytest.mark.parametrize("norm", ["inf", "two"])
+    def test_cauchy_point_and_model_value(self, norm):
+        rng = np.random.default_rng(11)
+        for n in (1, 3, 12):
+            zero = init_model("zero", n)
+            for _ in range(50):
+                g = rng.standard_normal(n) * 10.0 ** rng.uniform(-3, 3, n)
+                w = 10.0 ** rng.uniform(-2, 2, n)
+                cp = cauchy_point(g, zero, make_region(norm, g, w))
+                assert cp.gamma == 1.0
+                np.testing.assert_array_equal(cp.sQ, cp.sL)
+                assert cp.qdec == -(g @ cp.sL)
+                s = rng.standard_normal(n)
+                assert model_value(g, zero, s) == float(g @ s)
+
+    def test_dimension_still_checked(self):
+        zero = init_model("zero", 3)
+        with pytest.raises(DimensionMismatch):
+            cauchy_point(np.ones(2), zero, make_region("inf", np.ones(2), np.ones(2)))
+        with pytest.raises(DimensionMismatch):
+            model_value(np.ones(2), zero, np.ones(2))
+
+    def test_nonzero_model_still_applied(self, monkeypatch):
+        products = []
+
+        def counting(model, v):
+            products.append(v)
+            return apply_model(model, v)
+
+        monkeypatch.setattr("offo.step.apply_model", counting)
+        m = bb_model(2.0, 2)
+        g = np.array([1.0, -1.0])
+        cp = cauchy_point(g, m, make_region("inf", g, np.ones(2)))
+        assert len(products) == 1
+        # q(gamma sL) = -2 gamma + 2 gamma^2 is least at gamma = 1/2
+        assert cp.gamma == 0.5 and cp.qdec == 0.5
+        assert model_value(g, m, cp.sQ) == -0.5
+        assert len(products) == 2
 
 
 class TestSolveBox:
