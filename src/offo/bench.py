@@ -19,7 +19,7 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from .driver import RunRecord, euclidean_norm, run_variant
+from .driver import RunRecord, run_variant
 from .errors import (
     EmptyResults,
     InvalidParameter,
@@ -28,6 +28,7 @@ from .errors import (
     NonFiniteValue,
 )
 from .problems import Problem, diag_quadratic
+from .scaling import euclidean_norm
 from .sharpness import lambert_wm1
 
 GRAD_SUCCESS_TOL = 1e-6

@@ -9,16 +9,15 @@ descent used as the function-evaluating baseline.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 from typing import Optional, Union
 
 import numpy as np
 
-from .errors import InvalidParameter, NonFiniteValue
+from .errors import InvalidParameter, NonFiniteInput, NonFiniteValue
 from .model import init_model, update_model
 from .problems import NoisyProblem, Problem
-from .scaling import ScalingStrategy, init_scaling, update_scaling
+from .scaling import ScalingStrategy, euclidean_norm, init_scaling, update_scaling
 from .step import cauchy_point, make_region, model_value, solve_tr_step
 
 STATUS_CONVERGED = "converged"
@@ -42,22 +41,6 @@ VARIANTS = {
     "lmadagi3b": ("adagi1", "lbfgs3", "inf"),
     "Eadagi1": ("adagi1", "exact", "inf"),
 }
-
-
-#: largest n * max|g_i|^2 for which g.g surely cannot overflow
-_DOT_LIMIT = 0.5 * float(np.finfo(float).max)
-
-
-def euclidean_norm(g: np.ndarray) -> float:
-    """||g||_2 of a nonempty 1-D array: ``np.linalg.norm(g)`` bit for bit where
-    g.g cannot overflow, else computed on g divided by its largest magnitude."""
-    big = float(np.abs(g).max())
-    if big * big * g.size < _DOT_LIMIT:
-        return math.sqrt(g.dot(g))
-    if not big < math.inf:
-        return big  # inf, or nan when g holds a nan
-    u = g / big
-    return big * math.sqrt(u.dot(u))
 
 
 @dataclass(frozen=True)
@@ -179,6 +162,7 @@ def astr1(problem: Problem, config: RunConfig) -> RunRecord:
     n = problem.n
     oracle = NoisyProblem(problem, config.noise_level, config.noise_seed)
     strategy = config.strategy
+    floor = strategy.floor
     state = init_scaling(strategy, n)
     model = init_model(config.model if config.model != "none" else "zero", n, config.kappaB)
     counters = {"sbound_violations": 0, "gcp_violations": 0,
@@ -186,64 +170,66 @@ def astr1(problem: Problem, config: RunConfig) -> RunRecord:
     trace = _Trace(config.keep_trace, config.record_f)
     want = ("value", "gradient") if config.record_f else ("gradient",)
 
-    x = np.asarray(problem.x0, dtype=float).copy()
+    x = problem._checked(problem.x0, want)[0].copy()
     prev_g = prev_s = None
     status = STATUS_BUDGET
     steps = 0
-    g = np.zeros(n)
     gnorm = np.nan
     fval = None
 
-    for k in range(config.max_iter + 1):
-        try:
-            out = oracle.evaluate(x, want)
-        except NonFiniteValue:
-            status = STATUS_OVERFLOW
-            break
-        g = out["gradient"]
-        fval = out.get("value")
-        gnorm = euclidean_norm(g)
-        trace.iterate(x, g, gnorm, fval)
-        if gnorm <= config.eps:
-            status = STATUS_CONVERGED
-            break
-        if k == config.max_iter:
-            status = STATUS_BUDGET
-            break
+    # one errstate per run: overflow surfaces as NonFiniteValue, never a warning
+    with np.errstate(all="ignore"):
+        for k in range(config.max_iter + 1):
+            try:
+                out = oracle._query(x, want)
+            except NonFiniteValue:
+                status = STATUS_OVERFLOW
+                break
+            g = out["gradient"]
+            fval = out.get("value")
+            gnorm = euclidean_norm(g)
+            trace.iterate(x, g, gnorm, fval)
+            if gnorm <= config.eps:
+                status = STATUS_CONVERGED
+                break
+            if k == config.max_iter:
+                status = STATUS_BUDGET
+                break
 
-        w = update_scaling(state, g, k)
-        if not np.isfinite(w).all():
-            # squared-gradient accumulators can overflow even for finite g
-            status = STATUS_OVERFLOW
-            break
-        if not (w >= strategy.floor).all():
-            counters["wfloor_violations"] += 1
-        tr = make_region(config.norm, g, w)
-        try:
-            update_model(model, prev_s, None if k == 0 else g - prev_g, x, oracle)
-        except NonFiniteValue:
-            # the exact model's Hessian can overflow where the gradient does not
-            status = STATUS_OVERFLOW
-            break
-        cp = cauchy_point(g, model, tr)
-        s = solve_tr_step(g, model, tr, config.tau, cauchy=cp)
+            try:
+                # squared-gradient accumulators can overflow even for finite g
+                w = update_scaling(state, g, k)
+            except NonFiniteValue:
+                status = STATUS_OVERFLOW
+                break
+            if not (w >= floor).all():
+                counters["wfloor_violations"] += 1
+            tr = make_region(config.norm, g, w)
+            try:
+                update_model(model, prev_s, None if k == 0 else g - prev_g, x, oracle)
+            except (NonFiniteValue, NonFiniteInput):
+                # the exact Hessian, or g - prev_g, can overflow for finite gradients
+                status = STATUS_OVERFLOW
+                break
+            cp = cauchy_point(g, model, tr)
+            s = solve_tr_step(g, model, tr, config.tau, cauchy=cp)
 
-        if config.norm == "inf":
-            feasible = bool((np.abs(s) <= tr.radii).all())
-        else:
-            feasible = float(np.linalg.norm(s)) <= tr.radius * (1.0 + 1e-12)
-        if not feasible:
-            counters["sbound_violations"] += 1
-        q_s = model_value(g, model, s)
-        q_c = q_s if s is cp.sQ else model_value(g, model, cp.sQ)
-        if q_s > config.tau * q_c:
-            counters["gcp_violations"] += 1
+            if config.norm == "inf":
+                feasible = bool((np.abs(s) <= tr.radii).all())
+            else:
+                feasible = float(np.linalg.norm(s)) <= tr.radius * (1.0 + 1e-12)
+            if not feasible:
+                counters["sbound_violations"] += 1
+            q_s = model_value(g, model, s)
+            q_c = q_s if s is cp.sQ else model_value(g, model, cp.sQ)
+            if q_s > config.tau * q_c:
+                counters["gcp_violations"] += 1
 
-        if config.keep_trace:
-            trace.step(w, tr.radii, s, cp.qdec, model.norm_bound())
-        x = x + s
-        prev_g, prev_s = g, s
-        steps += 1
+            if config.keep_trace:
+                trace.step(w, tr.radii, s, cp.qdec, model.norm_bound())
+            x = x + s
+            prev_g, prev_s = g, s
+            steps += 1
 
     return RunRecord(
         problem=problem.name,
@@ -267,50 +253,51 @@ def sdba(problem: Problem, config: RunConfig) -> RunRecord:
                 "wfloor_violations": 0, "armijo_stalls": 0}
     trace = _Trace(config.keep_trace, True)
 
-    x = np.asarray(problem.x0, dtype=float).copy()
+    x = problem._checked(problem.x0, ("value", "gradient"))[0].copy()
     status = STATUS_BUDGET
     steps = 0
     gnorm = np.nan
     fval = None
 
-    for k in range(config.max_iter + 1):
-        try:
-            out = oracle.evaluate(x, ("value", "gradient"))
-        except NonFiniteValue:
-            status = STATUS_OVERFLOW
-            break
-        g = out["gradient"]
-        fval = out["value"]
-        gnorm = euclidean_norm(g)
-        trace.iterate(x, g, gnorm, fval)
-        if gnorm <= config.eps:
-            status = STATUS_CONVERGED
-            break
-        if k == config.max_iter:
-            status = STATUS_BUDGET
-            break
-
-        d = -g
-        gd = float(g @ d)
-        alpha = 1.0
-        accepted = False
-        for _ in range(ARMIJO_MAX_BACKTRACKS + 1):
+    with np.errstate(all="ignore"):
+        for k in range(config.max_iter + 1):
             try:
-                f_trial = oracle.evaluate(x + alpha * d, ("value",))["value"]
+                out = oracle._query(x, ("value", "gradient"))
             except NonFiniteValue:
-                f_trial = np.inf  # reject the trial point, keep backtracking
-            if f_trial <= fval + ARMIJO_C * alpha * gd:
-                accepted = True
+                status = STATUS_OVERFLOW
                 break
-            alpha *= ARMIJO_FACTOR
-        if not accepted:
-            counters["armijo_stalls"] += 1
-            status = STATUS_BUDGET
-            break
-        s = alpha * d
-        trace.step(np.zeros(0), np.zeros(0), s, -alpha * gd, 0.0)
-        x = x + s
-        steps += 1
+            g = out["gradient"]
+            fval = out["value"]
+            gnorm = euclidean_norm(g)
+            trace.iterate(x, g, gnorm, fval)
+            if gnorm <= config.eps:
+                status = STATUS_CONVERGED
+                break
+            if k == config.max_iter:
+                status = STATUS_BUDGET
+                break
+
+            d = -g
+            gd = float(g @ d)
+            alpha = 1.0
+            accepted = False
+            for _ in range(ARMIJO_MAX_BACKTRACKS + 1):
+                try:
+                    f_trial = oracle._query(x + alpha * d, ("value",))["value"]
+                except NonFiniteValue:
+                    f_trial = np.inf  # reject the trial point, keep backtracking
+                if f_trial <= fval + ARMIJO_C * alpha * gd:
+                    accepted = True
+                    break
+                alpha *= ARMIJO_FACTOR
+            if not accepted:
+                counters["armijo_stalls"] += 1
+                status = STATUS_BUDGET
+                break
+            s = alpha * d
+            trace.step(np.zeros(0), np.zeros(0), s, -alpha * gd, 0.0)
+            x = x + s
+            steps += 1
 
     return RunRecord(
         problem=problem.name,

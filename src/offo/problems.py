@@ -9,6 +9,7 @@ harness.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional
 
@@ -70,6 +71,16 @@ class Problem:
         Returns a dict holding exactly the requested quantities.  Non-finite
         outputs raise :class:`NonFiniteValue` rather than propagating silently.
         """
+        x, want = self._checked(x, want)
+        with np.errstate(all="ignore"):
+            out = self._outputs(x, want)
+        kind = _nonfinite(out)
+        if kind is not None:
+            raise NonFiniteValue(f"{self.name}: {kind} overflowed at the queried point")
+        return out
+
+    def _checked(self, x, want):
+        """The query validated: ``x`` as a float n-vector, ``want`` as a tuple."""
         want = tuple(want)
         if not want:
             raise InvalidParameter("want must be a nonempty subset of value/gradient/hessian")
@@ -81,23 +92,31 @@ class Problem:
             raise DimensionMismatch(
                 f"{self.name}: point has shape {x.shape}, expected ({self.n},)"
             )
+        return x, want
+
+    def _outputs(self, x, want) -> dict:
+        """Oracle outputs at a validated query, shapes checked, finiteness not."""
         out = {}
-        with np.errstate(all="ignore"):
-            if "value" in want:
-                out["value"] = float(self.f(x))
-            if "gradient" in want:
-                out["gradient"] = np.asarray(self.g(x), dtype=float)
-                if out["gradient"].shape != (self.n,):
-                    raise DimensionMismatch(f"{self.name}: gradient oracle returned wrong shape")
-            if "hessian" in want:
-                hess = self.h(x) if self.h is not None else fd_hessian(self.g, x)
-                out["hessian"] = np.asarray(hess, dtype=float)
-                if out["hessian"].shape != (self.n, self.n):
-                    raise DimensionMismatch(f"{self.name}: hessian oracle returned wrong shape")
-        for kind, val in out.items():
-            if not np.isfinite(val).all():
-                raise NonFiniteValue(f"{self.name}: {kind} overflowed at the queried point")
+        if "value" in want:
+            out["value"] = float(self.f(x))
+        if "gradient" in want:
+            out["gradient"] = np.asarray(self.g(x), dtype=float)
+            if out["gradient"].shape != (self.n,):
+                raise DimensionMismatch(f"{self.name}: gradient oracle returned wrong shape")
+        if "hessian" in want:
+            hess = self.h(x) if self.h is not None else fd_hessian(self.g, x)
+            out["hessian"] = np.asarray(hess, dtype=float)
+            if out["hessian"].shape != (self.n, self.n):
+                raise DimensionMismatch(f"{self.name}: hessian oracle returned wrong shape")
         return out
+
+
+def _nonfinite(out: dict) -> Optional[str]:
+    """The first quantity of ``out`` holding a NaN or inf, else None."""
+    for kind, val in out.items():
+        if not (math.isfinite(val) if kind == "value" else np.isfinite(val).all()):
+            return kind
+    return None
 
 
 class NoisyProblem:
@@ -127,39 +146,42 @@ class NoisyProblem:
         key = [self.seed & 0xFFFFFFFFFFFFFFFF, (self.seed >> 64) & 0xFFFFFFFFFFFFFFFF]
         self._bitgen = np.random.Philox(counter=[0, 0, 0, 0], key=key)
         self._gen = np.random.Generator(self._bitgen)
+        self._state = self._bitgen.state  # no draws yet, so the buffer is empty
+        self._counter = self._state["state"]["counter"]
 
     def _draws(self, query: int, kind: str, size: int) -> np.ndarray:
-        # rewind the counter-based stream to the (query, quantity) block;
-        # equivalent to a fresh Philox at that counter, but much cheaper
-        state = self._bitgen.state
-        state["state"]["counter"][:] = (query, self._KIND_INDEX[kind], 0, 0)
-        state["buffer_pos"] = 4
-        state["has_uint32"] = 0
-        state["uinteger"] = 0
-        self._bitgen.state = state
+        # rewind the counter-based stream to the fresh (query, quantity) block
+        self._counter[0], self._counter[1] = query, self._KIND_INDEX[kind]
+        self._bitgen.state = self._state
         return self._gen.standard_normal(size)
 
     def evaluate(self, x, want: Iterable[str]) -> dict:
-        want = tuple(want)
+        """Validate the query, then evaluate it as the solvers do."""
+        x, want = self.base._checked(x, want)
+        with np.errstate(all="ignore"):
+            return self._query(x, want)
+
+    def _query(self, x: np.ndarray, want: tuple) -> dict:
+        """Count, evaluate and perturb a validated query, under the caller's
+        ``np.errstate``; a non-finite output raises :class:`NonFiniteValue`."""
         for kind in want:
-            if kind in self.counts:  # the base rejects unknown kinds
-                self.counts[kind] += 1
-        out = self.base.evaluate(x, want)
+            self.counts[kind] += 1
+        out = noisy = self.base._outputs(x, want)
         query = self._query_index
-        self._query_index += 1
-        if self.level == 0.0:
-            return out
-        noisy = {}
-        for kind, val in out.items():
-            if kind == "value":
-                xi = self._draws(query, kind, 1)[0]
+        if self.level != 0.0:
+            noisy = {}
+            for kind, val in out.items():
+                if kind == "value":
+                    xi = self._draws(query, kind, 1)[0]
+                else:
+                    xi = self._draws(query, kind, val.size).reshape(val.shape)
                 noisy[kind] = val * (1.0 + self.level * xi)
-            else:
-                arr = np.asarray(val)
-                xi = self._draws(query, kind, arr.size).reshape(arr.shape)
-                noisy[kind] = arr * (1.0 + self.level * xi)
-            if not np.isfinite(noisy[kind]).all():
-                raise NonFiniteValue(f"{self.base.name}: noisy {kind} is non-finite")
+        bad = _nonfinite(noisy)
+        if bad is not None:
+            if _nonfinite(out) is None:  # only a finite base output uses up its query
+                self._query_index += 1
+            raise NonFiniteValue(f"{self.base.name}: {bad} is non-finite at the queried point")
+        self._query_index = query + 1
         return noisy
 
 

@@ -14,11 +14,12 @@ accumulator (built from Euclidean gradient norms) across all coordinates:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionMismatch, InvalidParameter, NonFiniteInput
+from .errors import DimensionMismatch, InvalidParameter, NonFiniteInput, NonFiniteValue
 
 KINDS = (
     "adagrad-agg",
@@ -38,6 +39,21 @@ VARIANT_TAGS = {
     "maxg01": "maxg-agg",
     "maxgi01": "maxg-comp",
 }
+
+#: largest n * max|g_i|^2 for which g.g surely cannot overflow
+_DOT_LIMIT = 0.5 * float(np.finfo(float).max)
+
+
+def euclidean_norm(g: np.ndarray) -> float:
+    """||g||_2 of a nonempty 1-D array: ``np.linalg.norm(g)`` bit for bit where
+    g.g cannot overflow, else computed on g divided by its largest magnitude."""
+    big = float(np.abs(g).max())
+    if big * big * g.size < _DOT_LIMIT:
+        return math.sqrt(g.dot(g))
+    if not big < math.inf:
+        return big  # inf, or nan when g holds a nan
+    u = g / big
+    return big * math.sqrt(u.dot(u))
 
 
 @dataclass(frozen=True)
@@ -117,38 +133,36 @@ def update_scaling(state: ScalingState, g_k: np.ndarray, k: int) -> np.ndarray:
     """Fold gradient ``g_k`` of iteration ``k`` into the state and emit w_k.
 
     ``k`` is passed explicitly (consecutive, starting at 0) so recorded runs
-    can be replayed off-line against the same state trajectory.
+    can be replayed off-line against the same state trajectory.  A non-finite
+    ``g_k`` raises :class:`NonFiniteInput`, an overflowing accumulator
+    :class:`NonFiniteValue`; both leave ``state`` as it was.  Outside an
+    ``np.errstate``, NumPy warns of the overflow before the exception.
     """
     g_k = np.asarray(g_k, dtype=float)
     if g_k.shape != (state.n,):
         raise DimensionMismatch(f"gradient has shape {g_k.shape}, expected ({state.n},)")
-    if not np.isfinite(g_k).all():
-        raise NonFiniteInput("gradient contains NaN or inf")
     if k != state.k + 1:
         raise InvalidParameter(f"updates must arrive with consecutive k; got {k} after {state.k}")
-    state.k = k
 
     strat = state.strategy
     kind = strat.kind
-    # overflow of a squared-gradient accumulator surfaces as w = inf, which
-    # the driver reports as a failed run; no warning needed here
-    with np.errstate(over="ignore"):
-        if kind == "adagrad-comp":
-            state.acc = state.acc + g_k * g_k
-            return (strat.varsigma + state.acc) ** strat.mu
-        if kind == "adagrad-agg":
-            state.agg = state.agg + float(g_k @ g_k)
-            return np.full(state.n, (strat.varsigma + state.agg) ** strat.mu)
-        if kind == "ewma-comp":
-            state.acc = strat.beta2 * state.acc + g_k * g_k
-            return (strat.varsigma + state.acc) ** strat.mu
-        if kind == "ewma-agg":
-            state.agg = strat.beta2 * state.agg + float(g_k @ g_k)
-            return np.full(state.n, (strat.varsigma + state.agg) ** strat.mu)
-        if kind == "maxg-comp":
-            state.acc = np.maximum(state.acc, np.abs(g_k))
-            return (k + 1) ** strat.nu * state.acc
-        if kind == "maxg-agg":
-            state.agg = max(state.agg, float(np.linalg.norm(g_k)))
-            return np.full(state.n, (k + 1) ** strat.nu * state.agg)
-    raise AssertionError(f"unreachable kind {kind}")
+    acc, agg = state.acc, state.agg
+    # a NaN or inf in g_k reaches w in every branch, so w's check covers g_k
+    if kind in ("adagrad-comp", "ewma-comp"):
+        acc = (strat.beta2 * acc if kind == "ewma-comp" else acc) + g_k * g_k
+        w = (strat.varsigma + acc) ** strat.mu
+    elif kind in ("adagrad-agg", "ewma-agg"):
+        agg = (strat.beta2 * agg if kind == "ewma-agg" else agg) + float(g_k @ g_k)
+        w = np.full(state.n, (strat.varsigma + agg) ** strat.mu)
+    elif kind == "maxg-comp":
+        acc = np.maximum(acc, np.abs(g_k))
+        w = (k + 1) ** strat.nu * acc
+    else:  # maxg-agg; the norm comes first so that max() keeps a NaN
+        agg = max(euclidean_norm(g_k), agg)
+        w = np.full(state.n, (k + 1) ** strat.nu * agg)
+    if not np.isfinite(w).all():
+        if not np.isfinite(g_k).all():
+            raise NonFiniteInput("gradient contains NaN or inf")
+        raise NonFiniteValue(f"{kind} accumulator overflowed at iteration {k}")
+    state.k, state.acc, state.agg = k, acc, agg
+    return w

@@ -10,6 +10,7 @@ returned.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -68,12 +69,14 @@ def model_value(g: np.ndarray, model: HessianModel, s: np.ndarray) -> float:
 def cauchy_point(g: np.ndarray, model: HessianModel, tr: TrustRegion) -> CauchyData:
     """Minimize the quadratic model along the scaled steepest descent step."""
     g = np.asarray(g, dtype=float)
-    if not np.isfinite(g).all():
-        raise NonFiniteInput("gradient contains NaN or inf")
     # sL_i = -sgn(g_i) Delta_i; sgn(0) = 0 and Delta_i = 0 there anyway.
     # For the two-norm ball this is -g/w, which sits exactly on the sphere.
     sL = -np.sign(g) * tr.radii
     gsl = float(g @ sL)  # <= 0 by construction
+    # a NaN or inf g_i makes gsl NaN or -inf, also at a zero radius, where
+    # NumPy warns of inf * 0 unless the caller holds an np.errstate
+    if not math.isfinite(gsl) and not np.isfinite(g).all():
+        raise NonFiniteInput("gradient contains NaN or inf")
     if model.is_zero and sL.shape == (model.n,):
         # what the general formula gives for curv = +0.0, sign of zero included
         return CauchyData(sL=sL, gamma=1.0, sQ=sL, qdec=-(gsl + 0.0))
@@ -103,11 +106,9 @@ def solve_tr_step(
     exact box minimizer of convex models (the same inequality then holds
     with room to spare).  If the iterate fails the Cauchy-fraction test it is
     discarded in favour of sQ.  Callers that already computed the Cauchy data
-    may pass it in.
+    may pass it in; they then vouch that ``g`` is finite.
     """
     g = np.asarray(g, dtype=float)
-    if not np.isfinite(g).all():
-        raise NonFiniteInput("gradient contains NaN or inf")
     if not 0.0 < tau <= 1.0:
         raise InvalidParameter(f"tau must lie in (0,1], got {tau}")
 
@@ -189,7 +190,7 @@ def _cg_on_free(model, s, r, free, delta, tol, budget, products):
         products += 1
         curv = float(p @ bp)
         alpha_max, hit = _box_step(s, p, delta, free)
-        if curv <= 0.0 and not np.isfinite(alpha_max):
+        if curv <= 0.0 and not math.isfinite(alpha_max):
             break  # degenerate direction, nothing to gain
         if curv <= 0.0:
             alpha = alpha_max
@@ -207,7 +208,7 @@ def _cg_on_free(model, s, r, free, delta, tol, budget, products):
             break
         r += alpha * bp
         rnew2 = float(r[free] @ r[free])
-        if np.sqrt(rnew2) <= tol:
+        if math.sqrt(rnew2) <= tol:
             break
         p = np.where(free, -r + (rnew2 / rfree2) * p, 0.0)
         rfree2 = rnew2
@@ -215,19 +216,17 @@ def _cg_on_free(model, s, r, free, delta, tol, budget, products):
 
 
 def _box_step(s, p, delta, free):
-    """Max alpha with |s_i + alpha p_i| <= delta_i on free coords, and a mask
-    of the coordinates attaining it."""
-    moving = free & (p != 0.0)
-    if not moving.any():
-        return np.inf, None
-    target = np.where(p > 0.0, delta, -delta)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        steps = np.where(moving, (target - s) / p, np.inf)
+    """Max alpha with |s_i + alpha p_i| <= delta_i on free coords, and the
+    indices of the coordinates attaining it."""
+    moving = np.flatnonzero(free & (p != 0.0))
+    if moving.size == 0:
+        return math.inf, None
+    pm = p[moving]  # nonzero, so no division below can fail
+    steps = (np.where(pm > 0.0, delta[moving], -delta[moving]) - s[moving]) / pm
     alpha = float(steps.min())
-    if not np.isfinite(alpha):
-        return np.inf, None
-    hit = steps <= alpha * (1.0 + 1e-14)
-    return alpha, hit
+    if not math.isfinite(alpha):
+        return math.inf, None
+    return alpha, moving[steps <= alpha * (1.0 + 1e-14)]
 
 
 def _steihaug_toint(g, model, radius):

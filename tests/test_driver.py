@@ -13,6 +13,7 @@ from offo.driver import (
     sdba,
     variant_config,
 )
+from offo.bench import quadratic_testbed
 from offo.errors import InvalidParameter
 from offo.problems import Problem, diag_quadratic, load_suite
 from offo.scaling import ScalingStrategy
@@ -147,6 +148,55 @@ class TestOverflow:
         rec = run_variant(p, "Eadagi1", max_iter=50)
         assert rec.status == "overflow-failure"
         assert rec.iters == 0
+
+
+    def test_secant_pair_overflow_with_finite_gradients(self):
+        # g flips between +-0.9e308: both are finite, their difference is not
+        p = Problem(
+            name="flip", n=1, x0=np.array([0.6]),
+            f=lambda x: float(1.8e306 * np.log(np.cosh(50.0 * x[0]))),
+            g=lambda x: np.array([0.9e308 * np.tanh(50.0 * x[0])]),
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rec = astr1(p, RunConfig(scaling="maxgi01", model="bb", max_iter=5))
+        assert rec.status == "overflow-failure"
+        assert rec.iters == 1
+
+    def test_maxg_agg_steps_where_the_gradient_norm_is_finite(self):
+        # ||(exp(400), 0)||_2 is finite although its square is not
+        p = Problem(
+            name="bigslope2", n=2, x0=np.array([400.0, 0.0]),
+            f=lambda x: float(np.exp(x[0]) + 0.5 * x[1] ** 2),
+            g=lambda x: np.array([np.exp(x[0]), x[1]]),
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rec = run_variant(p, "maxg01", max_iter=5)
+        assert rec.status == "budget-exhausted"
+        assert rec.iters == 5
+        assert np.isfinite(rec.final_gnorm)
+
+
+class TestErrstatePerRun:
+    """A run enters np.errstate a fixed number of times, not once per iteration."""
+
+    @pytest.mark.parametrize("tag, problem", [
+        ("adagi1", quadratic_testbed(5, x0_scale=100.0)),
+        ("sdba", load_suite(["rosenbr"])[0]),
+    ], ids=["adagi1", "sdba"])
+    def test_entries_do_not_grow_with_iterations(self, monkeypatch, tag, problem):
+        entries = []
+
+        class CountingErrstate(np.errstate):
+            def __enter__(self):
+                entries.append(self)
+                return super().__enter__()
+
+        monkeypatch.setattr(np, "errstate", CountingErrstate)
+        rec = run_variant(problem, tag, max_iter=2000)
+        assert rec.iters == 2000
+        assert len(entries) <= 2
 
 
 class TestEuclideanNorm:

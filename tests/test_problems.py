@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from offo.errors import (
     DimensionMismatch,
@@ -8,6 +10,7 @@ from offo.errors import (
     UnknownProblem,
 )
 from offo.problems import (
+    WANT_KINDS,
     NoisyProblem,
     Problem,
     diag_quadratic,
@@ -167,6 +170,17 @@ class TestNoise:
         expect = base.gradient(x) * (1.0 + level * xi)
         np.testing.assert_array_equal(got, expect)
 
+    @pytest.mark.parametrize("seed", [0, 321, 2**64 + 5])
+    def test_stream_is_a_fresh_philox_per_query_and_quantity(self, seed):
+        noisy = NoisyProblem(diag_quadratic([1.0], [1.0]), 0.1, seed)
+        key = [seed % 2**64, seed >> 64]
+        for query in (0, 7, 1000, 2**40):
+            for index, kind in enumerate(("value", "gradient", "hessian")):
+                for size in (1, 2, 9):
+                    philox = np.random.Philox(key=key, counter=[query, index, 0, 0])
+                    expect = np.random.Generator(philox).standard_normal(size)
+                    np.testing.assert_array_equal(noisy._draws(query, kind, size), expect)
+
     def test_noise_changes_with_seed_and_query(self):
         (p,) = load_suite(["beale"])
         n1 = NoisyProblem(p, 0.1, 1)
@@ -204,6 +218,43 @@ class TestNoise:
             total += NoisyProblem(base, level, seed).evaluate(x, ("gradient",))["gradient"]
         mean = total / n_seeds
         assert np.all(np.abs(mean - g) <= 3.0 * level * np.abs(g) / 100.0)
+
+
+class TestNoisyEntryPoint:
+    """``NoisyProblem.evaluate`` validates every query before it counts it."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(want=st.lists(st.sampled_from(WANT_KINDS + ("Value", "grad", "")), max_size=4),
+           level=st.sampled_from([0.0, 0.1]))
+    def test_want_validated(self, want, level):
+        (p,) = load_suite(["beale"])
+        oracle = NoisyProblem(p, level, 0)
+        if want and all(kind in WANT_KINDS for kind in want):
+            assert set(oracle.evaluate(p.x0, want)) == set(want)
+        else:
+            with pytest.raises(InvalidParameter):
+                oracle.evaluate(p.x0, want)
+            assert oracle.counts == dict.fromkeys(WANT_KINDS, 0)
+
+    @settings(max_examples=40, deadline=None)
+    @given(shape=st.lists(st.integers(0, 3), max_size=3), level=st.sampled_from([0.0, 0.1]))
+    def test_point_shape_validated(self, shape, level):
+        (p,) = load_suite(["beale"])
+        oracle = NoisyProblem(p, level, 0)
+        x = np.ones(shape)
+        if x.shape == (p.n,):
+            assert np.isfinite(oracle.evaluate(x, ("gradient",))["gradient"]).all()
+        else:
+            with pytest.raises(DimensionMismatch):
+                oracle.evaluate(x, ("gradient",))
+
+    def test_noisy_counts_include_overflows(self):
+        (p,) = load_suite(["cliff"])
+        oracle = NoisyProblem(p, 0.1, 0)
+        oracle.evaluate(p.x0, ("value", "gradient"))
+        with pytest.raises(NonFiniteValue):
+            oracle.evaluate(np.array([200.0, -200.0]), ("value", "gradient"))
+        assert oracle.counts == {"value": 2, "gradient": 2, "hessian": 0}
 
 
 def test_fd_hessian_is_symmetric():

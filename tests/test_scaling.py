@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from offo.errors import DimensionMismatch, InvalidParameter, NonFiniteInput
+from offo.errors import DimensionMismatch, InvalidParameter, NonFiniteInput, NonFiniteValue
 from offo.scaling import ScalingStrategy, init_scaling, update_scaling
 
 
@@ -178,3 +178,52 @@ def test_permutation_equivariance(kind, history, data):
     else:
         # the shared scalar is permutation-invariant up to summation rounding
         np.testing.assert_allclose(ws[:, perm], ws_perm, rtol=1e-14, atol=0)
+
+
+def _warmed_state(kind, history):
+    """State after folding in every row of ``history``, and a snapshot of it."""
+    state = init_scaling(_strategy(kind), history.shape[1])
+    for k, g in enumerate(history):
+        update_scaling(state, g, k)
+    acc = None if state.acc is None else state.acc.copy()
+    return state, (state.k, acc, state.agg)
+
+
+def _assert_unchanged(state, snapshot):
+    k, acc, agg = snapshot
+    assert state.k == k and state.agg == agg
+    if acc is None:
+        assert state.acc is None
+    else:
+        np.testing.assert_array_equal(state.acc, acc)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@settings(max_examples=30, deadline=None)
+@given(history=gradient_histories(), data=st.data())
+def test_nonfinite_gradient_rejected_and_state_kept(kind, history, data):
+    state, snapshot = _warmed_state(kind, history[:-1])
+    g = history[-1].copy()
+    g[data.draw(st.integers(0, g.size - 1))] = data.draw(st.sampled_from([np.nan, np.inf, -np.inf]))
+    with pytest.raises(NonFiniteInput):
+        update_scaling(state, g, len(history) - 1)
+    _assert_unchanged(state, snapshot)
+
+
+#: smallest |g_i| that overflows w: its square for the sum-of-squares kinds,
+#: (k + 1)^nu |g_i| with k >= 1 and nu = 0.1 for the running-max kinds
+OVERFLOW_FROM = {"adagrad-comp": 1.4e154, "adagrad-agg": 1.4e154, "ewma-comp": 1.4e154,
+                 "ewma-agg": 1.4e154, "maxg-comp": 1.7e308, "maxg-agg": 1.7e308}
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@settings(max_examples=30, deadline=None)
+@given(history=gradient_histories(), data=st.data())
+def test_accumulator_overflow_raises_and_state_kept(kind, history, data):
+    state, snapshot = _warmed_state(kind, history)
+    g = history[-1].copy()
+    big = data.draw(st.floats(OVERFLOW_FROM[kind], np.finfo(float).max))
+    g[data.draw(st.integers(0, g.size - 1))] = data.draw(st.sampled_from([big, -big]))
+    with np.errstate(over="ignore"), pytest.raises(NonFiniteValue):
+        update_scaling(state, g, len(history))
+    _assert_unchanged(state, snapshot)

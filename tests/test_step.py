@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from offo.errors import DimensionMismatch, InvalidParameter, NonFiniteInput
 from offo.model import apply_model, init_model, update_model
-from offo.step import cauchy_point, make_region, model_value, solve_tr_step
+from offo.step import TrustRegion, cauchy_point, make_region, model_value, solve_tr_step
 
 
 def bb_model(sigma, n):
@@ -72,6 +74,24 @@ class TestCauchyPoint:
         tr = make_region("inf", np.ones(1), np.ones(1))
         with pytest.raises(NonFiniteInput):
             cauchy_point(np.array([np.nan]), init_model("zero", 1), tr)
+
+
+@pytest.mark.parametrize("norm", ["inf", "two"])
+@pytest.mark.parametrize("kind", ["zero", "bb"])
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_cauchy_point_rejects_nonfinite_gradient(norm, kind, data):
+    n = data.draw(st.integers(1, 5))
+    g = np.array(data.draw(st.lists(st.floats(-1e3, 1e3), min_size=n, max_size=n)))
+    radii = np.array(data.draw(st.lists(st.floats(0.0, 10.0), min_size=n, max_size=n)))
+    i = data.draw(st.integers(0, n - 1))
+    g[i] = data.draw(st.sampled_from([np.nan, np.inf, -np.inf]))
+    if data.draw(st.booleans()):
+        radii[i] = 0.0
+    model = init_model("zero", n) if kind == "zero" else bb_model(2.0, n)
+    # inf * 0 at a zero radius warns unless, as in the driver, an errstate is held
+    with np.errstate(invalid="ignore"), pytest.raises(NonFiniteInput):
+        cauchy_point(g, model, TrustRegion(norm, radii))
 
 
 class TestZeroModelShortcuts:
