@@ -37,7 +37,7 @@ class TrustRegion:
     @property
     def radius(self) -> float:
         """Scalar radius of the two-norm ball."""
-        return float(np.linalg.norm(self.radii))
+        return math.sqrt(self.radii.dot(self.radii))
 
 
 def make_region(norm: str, g: np.ndarray, w: np.ndarray) -> TrustRegion:
@@ -135,7 +135,7 @@ def solve_tr_step(
 
 
 def _cg_tol(g: np.ndarray) -> float:
-    return max(CG_ATOL, CG_RTOL * float(np.linalg.norm(g)))
+    return max(CG_ATOL, CG_RTOL * math.sqrt(g.dot(g)))
 
 
 def _projected_cg_box(g, model, delta):
@@ -154,13 +154,14 @@ def _projected_cg_box(g, model, delta):
     # polish to near-machine residual within the product budget: the box
     # minimizer is then reproduced exactly on separable models, and the
     # nominal max(1e-12, 1e-5||g||) stopping inequality holds a fortiori
-    tol = max(CG_ATOL, 1e-14 * float(np.linalg.norm(g)))
+    tol = max(CG_ATOL, 1e-14 * math.sqrt(g.dot(g)))
     products = 0
 
     while products < budget:
         r = g + apply_model(model, s)
         products += 1
-        converged = not free.any() or np.linalg.norm(r[free]) <= tol
+        rf = r[free]  # empty when nothing is free, so the test then passes
+        converged = math.sqrt(rf.dot(rf)) <= tol
         if converged:
             # release faces where sliding back inside would decrease the model
             lower = (delta > 0.0) & ~free & (s <= -delta) & (r < -tol)
@@ -237,7 +238,7 @@ def _steihaug_toint(g, model, radius):
         return s
     r = g.copy()
     tol = _cg_tol(g)
-    if np.linalg.norm(r) <= tol:
+    if math.sqrt(r.dot(r)) <= tol:
         return s
     p = -r
     for _ in range(CG_PRODUCTS_PER_DIM * n):
@@ -248,15 +249,15 @@ def _steihaug_toint(g, model, radius):
         r2 = float(r @ r)
         alpha = r2 / curv
         s_next = s + alpha * p
-        if np.linalg.norm(s_next) >= radius:
+        if math.sqrt(s_next.dot(s_next)) >= radius:
             return _to_ball_boundary(s, p, radius)
         s = s_next
         r = r + alpha * bp
         r2_new = float(r @ r)
-        if np.sqrt(r2_new) <= tol:
+        if math.sqrt(r2_new) <= tol:
             break
         p = -r + (r2_new / r2) * p
-    nrm = float(np.linalg.norm(s))
+    nrm = math.sqrt(s.dot(s))
     if nrm > radius:
         s *= radius / nrm
     return s
@@ -270,9 +271,9 @@ def _to_ball_boundary(s, p, radius):
     sp = float(s @ p)
     ss = float(s @ s)
     disc = sp * sp + pp * (radius * radius - ss)
-    sigma = (-sp + np.sqrt(max(disc, 0.0))) / pp
+    sigma = (-sp + math.sqrt(max(disc, 0.0))) / pp
     out = s + sigma * p
-    nrm = float(np.linalg.norm(out))
+    nrm = math.sqrt(out.dot(out))
     if nrm > radius:
         out *= radius / nrm
     return out
