@@ -99,7 +99,7 @@ class RunRecord:
     final_gnorm: float
     final_f: Optional[float]
     counters: dict
-    neval: dict  # oracle call counts {"value", "gradient", "hessian"}
+    neval: dict  # oracle call counts {"value", "gradient", "hessian", "fd_gradient"}
     trace: Optional[dict] = None
 
     @property

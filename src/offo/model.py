@@ -110,13 +110,15 @@ def update_model(model, s_k, y_k, x_next=None, problem=None) -> HessianModel:
 
     ``s_k``/``y_k`` are the step and gradient difference of the completed
     iteration (both None on the very first call, when no step exists yet).
-    The exact kind ignores them and evaluates the problem Hessian at
-    ``x_next``.  Mutates and returns ``model``.
+    The exact kind ignores them and queries the Hessian of ``problem`` (a
+    ``Problem`` or ``NoisyProblem``) at ``x_next``, a float n-vector, without
+    validating it and under the caller's ``np.errstate``; an overflowed
+    Hessian raises ``NonFiniteValue``.  Mutates and returns ``model``.
     """
     if model.kind == "exact":
         if problem is None or x_next is None:
             raise InvalidParameter("exact model needs the problem and the new iterate")
-        hess = np.asarray(problem.evaluate(x_next, ("hessian",))["hessian"], dtype=float)
+        hess = problem._query(x_next, ("hessian",))["hessian"]
         model.dense = 0.5 * (hess + hess.T)  # noisy oracles may break symmetry
         model.scale = 1.0
         _enforce_cap(model)

@@ -73,7 +73,12 @@ class Problem:
         """
         x, want = self._checked(x, want)
         with np.errstate(all="ignore"):
-            out = self._outputs(x, want)
+            return self._query(x, want)
+
+    def _query(self, x: np.ndarray, want: tuple) -> dict:
+        """Evaluate a validated query under the caller's ``np.errstate``; a
+        non-finite output raises :class:`NonFiniteValue`."""
+        out = self._outputs(x, want)
         kind = _nonfinite(out)
         if kind is not None:
             raise NonFiniteValue(f"{self.name}: {kind} overflowed at the queried point")
@@ -123,7 +128,10 @@ class NoisyProblem:
     """The per-run oracle of a problem: call counts and relative noise.
 
     ``counts`` holds the number of calls per oracle kind, including calls
-    that overflowed.  Every oracle output component y is replaced by
+    that overflowed, and under ``fd_gradient`` the 2n gradient calls that
+    each Hessian query spends on a problem without an analytic Hessian.
+    Those finite differences use the noise-free gradient; the noise is
+    applied to the differenced Hessian, as to any other output.  Every oracle output component y is replaced by
     ``y * (1 + level * xi)`` where xi is a standard normal from a
     counter-based stream keyed by (seed, query index, quantity); within one
     query the draws are assigned to components in order, so which quantities
@@ -141,7 +149,7 @@ class NoisyProblem:
         self.base = base
         self.level = float(level)
         self.seed = int(seed)
-        self.counts = dict.fromkeys(WANT_KINDS, 0)
+        self.counts = dict.fromkeys(WANT_KINDS + ("fd_gradient",), 0)
         self._query_index = 0
         key = [self.seed & 0xFFFFFFFFFFFFFFFF, (self.seed >> 64) & 0xFFFFFFFFFFFFFFFF]
         self._bitgen = np.random.Philox(counter=[0, 0, 0, 0], key=key)
@@ -166,6 +174,8 @@ class NoisyProblem:
         ``np.errstate``; a non-finite output raises :class:`NonFiniteValue`."""
         for kind in want:
             self.counts[kind] += 1
+        if "hessian" in want and self.base.h is None:
+            self.counts["fd_gradient"] += 2 * self.base.n
         out = noisy = self.base._outputs(x, want)
         query = self._query_index
         if self.level != 0.0:

@@ -184,7 +184,8 @@ class TestErrstatePerRun:
     @pytest.mark.parametrize("tag, problem", [
         ("adagi1", quadratic_testbed(5, x0_scale=100.0)),
         ("sdba", load_suite(["rosenbr"])[0]),
-    ], ids=["adagi1", "sdba"])
+        ("Eadagi1", load_suite(["cube"])[0]),
+    ], ids=["adagi1", "sdba", "Eadagi1"])
     def test_entries_do_not_grow_with_iterations(self, monkeypatch, tag, problem):
         entries = []
 

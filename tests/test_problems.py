@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from offo.driver import run_variant
 from offo.errors import (
     DimensionMismatch,
     InvalidParameter,
@@ -198,7 +199,20 @@ class TestNoise:
         oracle.evaluate(p.x0, ("gradient",))
         with pytest.raises(NonFiniteValue):
             oracle.evaluate(np.array([200.0, -200.0]), ("value",))
-        assert oracle.counts == {"value": 2, "gradient": 2, "hessian": 0}
+        assert oracle.counts == {"value": 2, "gradient": 2, "hessian": 0, "fd_gradient": 0}
+
+    @pytest.mark.parametrize("name, per_hessian", [("osborneb", 22), ("rosenbr", 0)])
+    def test_fd_gradient_counts_2n_per_hessian_without_analytic_hessian(self, name, per_hessian):
+        (p,) = load_suite([name])
+        oracle = NoisyProblem(p, 0.1, 0)
+        oracle.evaluate(p.x0, ("gradient", "hessian"))
+        oracle.evaluate(p.x0, ("hessian",))
+        assert oracle.counts == {"value": 0, "gradient": 1, "hessian": 2,
+                                 "fd_gradient": 2 * per_hessian}
+        rec = run_variant(p, "Eadagi1", max_iter=5)
+        assert rec.neval["hessian"] == 5
+        assert rec.neval["fd_gradient"] == per_hessian * rec.neval["hessian"]
+        assert rec.evals == rec.neval["gradient"] == 6
 
     def test_negative_level_rejected(self):
         (p,) = load_suite(["beale"])
@@ -234,7 +248,7 @@ class TestNoisyEntryPoint:
         else:
             with pytest.raises(InvalidParameter):
                 oracle.evaluate(p.x0, want)
-            assert oracle.counts == dict.fromkeys(WANT_KINDS, 0)
+            assert oracle.counts == dict.fromkeys(WANT_KINDS + ("fd_gradient",), 0)
 
     @settings(max_examples=40, deadline=None)
     @given(shape=st.lists(st.integers(0, 3), max_size=3), level=st.sampled_from([0.0, 0.1]))
@@ -254,7 +268,7 @@ class TestNoisyEntryPoint:
         oracle.evaluate(p.x0, ("value", "gradient"))
         with pytest.raises(NonFiniteValue):
             oracle.evaluate(np.array([200.0, -200.0]), ("value", "gradient"))
-        assert oracle.counts == {"value": 2, "gradient": 2, "hessian": 0}
+        assert oracle.counts == {"value": 2, "gradient": 2, "hessian": 0, "fd_gradient": 0}
 
 
 def test_fd_hessian_is_symmetric():
