@@ -4,12 +4,17 @@ Four kinds are supported:
 
 * ``zero``   B = 0 (purely first-order),
 * ``bb``     the scalar diagonal approximation  B = (||s||^2 / y's) I,
-* ``lbfgs``  up to ``m`` direct BFGS updates applied on top of the scalar
-  diagonal base built from the newest accepted secant pair,
+* ``lbfgs``  up to ``m`` BFGS updates, by the stored secant pairs, of the
+  scalar base sigma I built from the newest accepted pair.  The operator is
+  rebuilt once per accepted pair from the compact representation of Byrd,
+  Nocedal & Schnabel (Math. Prog. 63, 1994) and stored as a dense matrix,
 * ``exact``  the problem's own (symmetrised) Hessian at the new iterate.
 
 Every kind enforces the spectral-norm cap ``kappaB`` by rescaling the whole
-operator, which preserves symmetry.
+operator, which preserves symmetry.  The norm it caps is exact: sigma for
+``bb`` and the largest eigenvalue magnitude of the dense matrix for
+``lbfgs`` and ``exact``, computed once per update.  Storing the matrix costs
+n^2 floats and an n x n eigensolve per update, as for the exact kind.
 """
 
 from __future__ import annotations
@@ -25,32 +30,20 @@ KINDS = ("zero", "bb", "lbfgs", "exact")
 #: relative curvature threshold below which a secant pair is discarded
 CURVATURE_MIN = 1e-15
 
-#: iterations of the power method used for the norm estimate
-POWER_ITERS = 30
-
-
-@dataclass
-class _Pair:
-    s: np.ndarray
-    y: np.ndarray
-
 
 @dataclass
 class HessianModel:
-    """Matrix-free symmetric operator with a spectral-norm cap."""
+    """Symmetric operator with a spectral-norm cap."""
 
     kind: str
     n: int
     kappaB: float = 1e6
     m: int = 3  # lbfgs pair budget
-    sigma: float = 0.0  # scalar of the diagonal base (bb and lbfgs)
-    pairs: list = field(default_factory=list)  # lbfgs ring buffer
-    dense: np.ndarray = None  # exact kind only
+    sigma: float = 0.0  # the bb scalar
+    pairs: list = field(default_factory=list)  # lbfgs (s, y) ring buffer, oldest first
+    dense: np.ndarray = None  # lbfgs and exact: the symmetric matrix before rescaling
     scale: float = 1.0  # cap-enforcement rescaling of the whole operator
-    # per-pair precomputations for the direct BFGS form
-    _us: list = field(default_factory=list)  # u_j = B_j s_j
-    _phis: list = field(default_factory=list)  # phi_j = s_j' B_j s_j
-    _rhos: list = field(default_factory=list)  # rho_j = 1 / y_j's_j
+    bnorm: float = 0.0  # ||B||_2 after rescaling, as of the last update
 
     def __post_init__(self):
         if self.kind not in KINDS:
@@ -65,19 +58,13 @@ class HessianModel:
         """True when the operator is identically zero (lets callers shortcut)."""
         if self.kind == "zero":
             return True
-        if self.kind in ("bb", "lbfgs"):
-            return self.sigma == 0.0 and not self.pairs
+        if self.kind == "bb":
+            return self.sigma == 0.0
         return self.dense is None
 
     def norm_bound(self) -> float:
-        """Current estimate of ||B||_2 (exact for zero/bb, else power method)."""
-        if self.kind == "zero":
-            return 0.0
-        if self.kind == "bb":
-            return abs(self.sigma) * self.scale
-        if self.is_zero:
-            return 0.0
-        return _power_norm(self, self.n)
+        """||B||_2 as computed by the last update (exact for every kind)."""
+        return self.bnorm
 
 
 def init_model(kind: str, n: int, kappaB: float = 1e6, m: int = 3) -> HessianModel:
@@ -88,21 +75,15 @@ def init_model(kind: str, n: int, kappaB: float = 1e6, m: int = 3) -> HessianMod
 
 
 def apply_model(model: HessianModel, v: np.ndarray) -> np.ndarray:
-    """Matrix-free product B v."""
+    """The product B v."""
     v = np.asarray(v, dtype=float)
     if v.shape != (model.n,):
         raise DimensionMismatch(f"vector has shape {v.shape}, expected ({model.n},)")
-    if model.kind == "zero" or model.is_zero:
+    if model.is_zero:
         return np.zeros(model.n)
     if model.kind == "bb":
         return (model.scale * model.sigma) * v
-    if model.kind == "exact":
-        return model.scale * (model.dense @ v)
-    # lbfgs: direct (non-inverse) BFGS recursion applied pair by pair
-    out = model.sigma * v
-    for pair, u, phi, rho in zip(model.pairs, model._us, model._phis, model._rhos):
-        out += -(u @ v) / phi * u + rho * (pair.y @ v) * pair.y
-    return model.scale * out
+    return model.scale * (model.dense @ v)
 
 
 def update_model(model, s_k, y_k, x_next=None, problem=None) -> HessianModel:
@@ -120,8 +101,7 @@ def update_model(model, s_k, y_k, x_next=None, problem=None) -> HessianModel:
             raise InvalidParameter("exact model needs the problem and the new iterate")
         hess = problem._query(x_next, ("hessian",))["hessian"]
         model.dense = 0.5 * (hess + hess.T)  # noisy oracles may break symmetry
-        model.scale = 1.0
-        _enforce_cap(model)
+        _cap(model, _dense_norm(model.dense))
         return model
     if model.kind == "zero" or s_k is None:
         return model
@@ -140,68 +120,56 @@ def update_model(model, s_k, y_k, x_next=None, problem=None) -> HessianModel:
 
     if model.kind == "bb":
         model.sigma = ss / ys
-        model.scale = 1.0
-        _enforce_cap(model)
+        _cap(model, model.sigma)
         return model
 
-    # lbfgs: fresh scalar base from the newest pair, then re-apply the buffer
-    model.pairs.append(_Pair(s_k.copy(), y_k.copy()))
-    if len(model.pairs) > model.m:
-        model.pairs.pop(0)
-    model.sigma = ss / ys
-    model.scale = 1.0
-    _rebuild_lbfgs(model)
-    _enforce_cap(model)
+    # lbfgs: fresh scalar base from the newest pair, then the buffer's updates
+    pairs = [*model.pairs, (s_k.copy(), y_k.copy())][-model.m:]
+    dense = _compact_bfgs(ss / ys, pairs)
+    if dense is None:
+        return model  # N singular in floating point: keep the previous operator
+    model.pairs, model.dense = pairs, dense
+    _cap(model, _dense_norm(dense))
     return model
 
 
-def _rebuild_lbfgs(model: HessianModel) -> None:
-    """Recompute u_j = B_j s_j and phi_j for the stored pairs (base changed)."""
-    accepted, us, phis, rhos = [], [], [], []
-    for pair in model.pairs:
-        u = model.sigma * pair.s
-        for uj, phij, rhoj, pj in zip(us, phis, rhos, accepted):
-            u = u - (uj @ pair.s) / phij * uj + rhoj * (pj.y @ pair.s) * pj.y
-        phi = float(pair.s @ u)
-        # BFGS of a positive-definite base keeps phi > 0; guard rounding anyway
-        if phi <= 0.0:
-            continue
-        accepted.append(pair)
-        us.append(u)
-        phis.append(phi)
-        rhos.append(1.0 / float(pair.y @ pair.s))
-    model.pairs, model._us, model._phis, model._rhos = accepted, us, phis, rhos
+def _compact_bfgs(sigma: float, pairs: list):
+    """The BFGS updates of sigma I by ``pairs``, oldest first, as a dense
+    symmetric matrix, or None when the middle matrix N is singular in
+    floating point.
+
+    B = sigma I - U N^{-1} U' with U = [sigma S, Y] and
+    N = [[sigma S'S, L], [L', -D]], where L is the strictly lower triangle
+    of S'Y and D its diagonal (Byrd, Nocedal & Schnabel, Thm 2.3).
+    """
+    k = len(pairs)
+    Ut = np.array([pair[j] for j in (0, 1) for pair in pairs])  # rows s_1..s_k, y_1..y_k
+    N = Ut @ Ut.T  # [[S'S, S'Y], [Y'S, Y'Y]]
+    d = N[:k, k:].diagonal().copy()
+    i = np.arange(k)
+    lower = i[:, None] > i
+    N[:k, :k] *= sigma
+    N[:k, k:] *= lower
+    N[k:, :k] *= lower.T
+    N[k:, k:] = np.diag(-d)
+    Ut[:k] *= sigma
+    try:
+        B = Ut.T @ np.linalg.solve(N, -Ut)
+    except np.linalg.LinAlgError:
+        return None
+    B += B.T
+    B *= 0.5
+    B.flat[:: B.shape[0] + 1] += sigma
+    return B if np.isfinite(B).all() else None
 
 
-def _power_norm(model: HessianModel, n: int) -> float:
-    """Power-method estimate of the spectral norm (deterministic start)."""
-    gen = np.random.Generator(np.random.Philox(key=[0xB0B, 0], counter=[n, 0, 0, 0]))
-    v = gen.standard_normal(n)
-    v /= np.linalg.norm(v)
-    est = 0.0
-    for _ in range(POWER_ITERS):
-        w = apply_model(model, v)
-        nw = float(np.linalg.norm(w))
-        if nw == 0.0:
-            return 0.0
-        est = nw
-        v = w / nw
-    return est
+def _dense_norm(dense: np.ndarray) -> float:
+    """||B||_2 of a symmetric matrix: its largest eigenvalue magnitude."""
+    eig = np.linalg.eigvalsh(dense)  # ascending
+    return float(max(-eig[0], eig[-1]))
 
 
-def _enforce_cap(model: HessianModel) -> None:
-    if model.kind == "bb":
-        est = abs(model.sigma)
-    elif model.kind == "exact":
-        est = float(np.linalg.norm(model.dense, 2))
-    else:
-        # cheap upper bound by the triangle inequality; the power estimate is
-        # only needed when the bound cannot already certify the cap
-        upper = model.sigma + sum(
-            float(u @ u) / phi + rho * float(p.y @ p.y)
-            for u, phi, rho, p in zip(model._us, model._phis, model._rhos, model.pairs))
-        if upper <= model.kappaB:
-            return
-        est = _power_norm(model, model.n)
-    if est > model.kappaB:
-        model.scale = model.kappaB / est
+def _cap(model: HessianModel, norm: float) -> None:
+    """Rescale the operator of exact norm ``norm`` to ||B||_2 <= kappaB."""
+    model.scale = model.kappaB / norm if norm > model.kappaB else 1.0
+    model.bnorm = model.scale * norm

@@ -26,6 +26,8 @@ ALL_TAGS = [*VARIANTS, "sdba"]
 LEVELS = (0.0, 0.25)
 NOISE_SEED = 20220303
 MAX_ITER = 50
+#: the fields of a pinned outcome, in order
+FIELDS = ("status", "iters", "evals", "x")
 
 
 def outcome(problem, tag: str, level: float) -> list:
@@ -62,7 +64,10 @@ def test_outcomes_match_pinned(golden, suite, tag, level):
     assert sorted(pinned) == sorted(p.name for p in suite)
     diffs = {p.name: (got, pinned[p.name]) for p in suite
              if (got := outcome(p, tag, level)) != pinned[p.name]}
-    assert not diffs, f"{len(diffs)} outcomes differ (got, pinned): {diffs}"
+    moved = {name: [field for field, a, b in zip(FIELDS, got, pin) if a != b]
+             for name, (got, pin) in diffs.items()}
+    assert not diffs, (f"{len(diffs)} outcomes differ; moved fields by problem: {moved}; "
+                       f"(got, pinned): {diffs}")
 
 
 def write_golden(path: Path = GOLDEN_PATH) -> None:

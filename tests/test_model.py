@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from offo.errors import DimensionMismatch, InvalidParameter, NonFiniteInput
 from offo.model import apply_model, init_model, update_model
+from offo.problems import Problem
 
 
 def dense_of(model, n):
@@ -70,7 +73,7 @@ class TestLBFGS:
         update_model(m, s, s)  # sigma = 1, secant pair (s, s)
         np.testing.assert_allclose(apply_model(m, s), s, atol=1e-14)
 
-    @pytest.mark.parametrize("n,updates", [(2, 1), (3, 2), (4, 3), (6, 5)])
+    @pytest.mark.parametrize("n,updates", [(1, 3), (2, 1), (2, 3), (3, 2), (4, 3), (6, 5)])
     def test_matches_dense_bfgs_oracle(self, n, updates):
         rng = np.random.default_rng(n * 100 + updates)
         m = init_model("lbfgs", n, m=3)
@@ -103,6 +106,20 @@ class TestLBFGS:
                 y = -y
             update_model(m, s, y)
         np.testing.assert_allclose(apply_model(m, s), y, rtol=1e-10)
+
+    def test_singular_middle_matrix_keeps_previous_operator(self, monkeypatch):
+        m = init_model("lbfgs", 2)
+        update_model(m, np.array([1.0, 0.0]), np.array([2.0, 0.5]))
+        pairs, dense, scale, bnorm = list(m.pairs), m.dense.copy(), m.scale, m.norm_bound()
+
+        def singular(*args, **kwargs):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setattr(np.linalg, "solve", singular)
+        update_model(m, np.array([0.0, 1.0]), np.array([0.5, 3.0]))
+        assert len(m.pairs) == 1 and m.pairs[0] is pairs[0]
+        np.testing.assert_array_equal(m.dense, dense)
+        assert (m.scale, m.norm_bound()) == (scale, bnorm)
 
     def test_eviction_beyond_three_pairs(self):
         m = init_model("lbfgs", 3, m=3)
@@ -174,8 +191,40 @@ def test_norm_cap_enforced(kind):
             s = rng.standard_normal(n)
             y = 50.0 * s + rng.standard_normal(n)
             update_model(m, s, y)
-    # power-iteration estimate respects the cap after enforcement
+    # the stored norm respects the cap after enforcement
     assert m.norm_bound() <= 1.0 * (1.0 + 1e-8)
     # and a direct dense check agrees
     dense = dense_of(m, n)
     assert np.linalg.norm(dense, 2) <= 1.0 * (1.0 + 1e-6)
+
+
+def _hessian_problem(a):
+    """A problem whose Hessian is the fixed matrix ``a`` everywhere."""
+    n = a.shape[0]
+    return Problem(name="fixed-hessian", n=n, x0=np.zeros(n), f=lambda x: 0.5 * float(x @ a @ x),
+                   g=lambda x: a @ x, h=lambda x: a)
+
+
+@settings(max_examples=300, deadline=None)
+@given(kind=st.sampled_from(["lbfgs", "exact"]), n=st.integers(1, 6),
+       kappaB=st.floats(1.0, 100.0), k=st.integers(1, 6), level=st.sampled_from([0.1, 1.0]),
+       seed=st.integers(0, 2**32 - 1))
+def test_cap_is_exact_on_random_models(kind, n, kappaB, k, level, seed):
+    """||B||_2 <= kappaB, and norm_bound() is ||B||_2, for random pair sets
+    (lbfgs) and random symmetric Hessians (exact) around the cap."""
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    eigs = kappaB * level * 10.0 ** rng.uniform(0.0, 0.3, n)
+    if kind == "exact":
+        eigs *= rng.choice([-1.0, 1.0], n)
+    a = q @ np.diag(eigs) @ q.T
+    m = init_model(kind, n, kappaB=kappaB)
+    if kind == "exact":
+        update_model(m, None, None, x_next=np.zeros(n), problem=_hessian_problem(a))
+    else:
+        for _ in range(k):
+            s = rng.standard_normal(n)
+            update_model(m, s, a @ s + rng.standard_normal(n))
+    norm = float(np.linalg.norm(dense_of(m, n), 2))
+    assert norm <= kappaB * (1.0 + 1e-12)
+    assert m.norm_bound() == pytest.approx(norm, rel=1e-12, abs=0.0)
