@@ -149,10 +149,10 @@ def _compact_bfgs(sigma: float, pairs: list):
     i = np.arange(k)
     lower = i[:, None] > i
     N[:k, :k] *= sigma
-    N[:k, k:] *= lower
-    N[k:, :k] *= lower.T
-    N[k:, k:] = np.diag(-d)
-    Ut[:k] *= sigma
+    N[:k, k:] *= lower  # L
+    N[k:, :k] *= lower.T  # L'
+    N[k:, k:] = np.diag(-d)  # -D
+    Ut[:k] *= sigma  # the rows of U'
     try:
         B = Ut.T @ np.linalg.solve(N, -Ut)
     except np.linalg.LinAlgError:
