@@ -131,9 +131,10 @@ class NoisyProblem:
     that overflowed, and under ``fd_gradient`` the 2n gradient calls that
     each Hessian query spends on a problem without an analytic Hessian.
     Those finite differences use the noise-free gradient; the noise is
-    applied to the differenced Hessian, as to any other output.  Every oracle output component y is replaced by
-    ``y * (1 + level * xi)`` where xi is a standard normal from a
-    counter-based stream keyed by (seed, query index, quantity); within one
+    applied to the differenced Hessian, as to any other output.  Every
+    oracle output component y is replaced by ``y * (1 + level * xi)``
+    where xi is a standard normal from a counter-based stream keyed by
+    (seed, query index, quantity); within one
     query the draws are assigned to components in order, so which quantities
     are requested together does not change any one quantity's noise.  Two
     instances with equal (base, level, seed) produce identical outputs for
