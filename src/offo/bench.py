@@ -1,4 +1,4 @@
-"""Experiment matrix, success/reliability/profile statistics and theory checks.
+"""Experiment matrix, success/reliability/profile statistics and the theory battery.
 
 Efficiency is measured in derivative evaluations, success by the three-clause
 rule (gradient tolerance reached, or relative objective error below 1e-7, or
@@ -13,13 +13,14 @@ iterate, also for runs that only ever saw contaminated oracles.
 from __future__ import annotations
 
 import csv
+import time
 import zlib
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
 import numpy as np
 
-from .driver import RunRecord, run_variant
+from .driver import VARIANTS, RunConfig, RunRecord, astr1, fdecrease_margins, run_variant
 from .errors import (
     EmptyResults,
     InvalidParameter,
@@ -28,7 +29,7 @@ from .errors import (
     NonFiniteValue,
 )
 from .problems import Problem, diag_quadratic
-from .scaling import euclidean_norm
+from .scaling import ScalingStrategy, euclidean_norm
 from .sharpness import lambert_wm1
 
 GRAD_SUCCESS_TOL = 1e-6
@@ -587,3 +588,64 @@ def quadratic_testbed(n: int, x0_scale: float = 1.0) -> Problem:
     lam = np.linspace(0.1, 1.0, n) if n > 1 else np.array([1.0])
     x0 = np.full(n, x0_scale)
     return diag_quadratic(lam, x0, name=f"diagquad{n}")
+
+
+#: the bound runs of the theory battery on quadratic_testbed(5), on the
+#: infinity-norm region: (check name, regime, scaling, model kind)
+BOUND_RUNS = (
+    ("bounds-mu_lt_half", "mu_lt_half", ScalingStrategy(kind="adagrad-comp", mu=0.25), "none"),
+    ("bounds-mu_eq_half", "mu_eq_half", ScalingStrategy(kind="adagrad-comp", mu=0.5), "none"),
+    ("bounds-mu_gt_half", "mu_gt_half", ScalingStrategy(kind="adagrad-comp", mu=0.75), "none"),
+    ("bounds-ming", "ming", ScalingStrategy(kind="maxg-comp", mu=0.1, nu=0.1), "none"),
+    ("bounds-b1adagi1", "mu_eq_half", "adagi1", "bb"),
+    ("bounds-lmadagi3b", "mu_eq_half", "adagi1", "lbfgs3"),
+    ("bounds-Eadagi1", "mu_eq_half", "adagi1", "exact"),
+)
+
+#: W_-1 arguments of the battery's residual check, from near 0 to the branch point
+WM1_POINTS = (-1e-6, -0.05, -0.1, -0.2, -1 / np.e + 1e-9, -1 / np.e + 1e-10)
+
+
+def theory_battery(iters: int = 10_000) -> list:
+    """Numerical checks of the paper's claims, each a dict with ``name``,
+    ``violations``, ``min_margin`` (negative at a violation), ``passed`` and
+    ``seconds``: the summation lemma, one bound check per :data:`BOUND_RUNS`
+    row, the guaranteed decrease (tolerance -1e-8, ``L = 1``) of every
+    ``driver.VARIANTS`` tag on ``quadratic_testbed(n)``, n in (1, 5, 20), and
+    the relative W_-1 residual (<= 1e-12) plus its exact branch point.  Every
+    solver run stops at ``iters`` steps or at a gradient norm of 1e-30.
+    """
+    checks = []
+
+    def add(name, start, violations, min_margin, **detail):
+        checks.append({"name": name, "violations": int(violations),
+                       "min_margin": float(min_margin), "passed": not violations,
+                       "seconds": time.perf_counter() - start, **detail})
+
+    start = time.perf_counter()
+    series = series_suite()
+    add("summation-lemma-suite", start, series["violations"], series["worst_margin"])
+
+    for name, regime, scaling, model in BOUND_RUNS:
+        start = time.perf_counter()
+        problem = quadratic_testbed(5)
+        record = astr1(problem, RunConfig(scaling=scaling, model=model, eps=1e-30,
+                                          max_iter=iters, keep_trace=True))
+        constants = constants_from_run(record, L=1.0, Gamma0=problem.value(problem.x0))
+        parts = theory_check(record, constants, regime)["checks"].values()
+        add(name, start, sum(c["violations"] for c in parts),
+            min(c["min_margin"] for c in parts))
+
+    start = time.perf_counter()
+    margins = np.concatenate([
+        fdecrease_margins(run_variant(quadratic_testbed(n), tag, eps=1e-30, max_iter=iters,
+                                      keep_trace=True, record_f=True), L=1.0)
+        for n in (1, 5, 20) for tag in VARIANTS])
+    add("guaranteed-decrease", start, np.sum(margins < -1e-8), np.min(margins, initial=np.inf))
+
+    start = time.perf_counter()
+    rel = [abs(w * np.exp(w) - y) / abs(y) for y in WM1_POINTS for w in (lambert_wm1(y),)]
+    exact = bool(lambert_wm1(-1 / np.e) == -1.0)
+    add("lambert-wm1-residual", start, sum(r > 1e-12 for r in rel) + (not exact),
+        1e-12 - max(rel), max_residual=float(max(rel)), branch_exact=exact)
+    return checks

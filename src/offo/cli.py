@@ -4,16 +4,12 @@ constructions, and the theory-check battery."""
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 
-import numpy as np
-
 from . import bench, driver, sharpness
 from .problems import load_suite
-from .driver import RunConfig, astr1, save_record, variant_config
-from .scaling import VARIANT_TAGS, ScalingStrategy
+from .driver import RunConfig, astr1, save_record
 
 ALL_VARIANTS = [*driver.VARIANTS, "sdba"]
 
@@ -39,12 +35,11 @@ def _cmd_solve(args) -> int:
     overrides = dict(eps=args.eps, max_iter=args.max_iter, tau=args.tau,
                      noise_level=args.noise, noise_seed=args.seed,
                      keep_trace=args.trace is not None)
-    config = variant_config(args.variant, **overrides)
-    if args.model is not None and args.variant != "sdba":
-        config = dataclasses.replace(config, model=args.model)
-    if args.norm is not None and args.variant != "sdba":
-        config = dataclasses.replace(config, norm="two" if args.norm == "2" else "inf")
-    record = driver.sdba(problem, config) if args.variant == "sdba" else astr1(problem, config)
+    if args.model is not None:
+        overrides["model"] = args.model
+    if args.norm is not None:
+        overrides["norm"] = "two" if args.norm == "2" else "inf"
+    record = driver.run_variant(problem, args.variant, **overrides)
     print(f"{problem.name} {args.variant}: status={record.status} "
           f"iters={record.iters} evals={record.evals} "
           f"final_gnorm={record.final_gnorm:.3e}")
@@ -135,61 +130,16 @@ def _add_check(sub):
 
 
 def _cmd_check(args) -> int:
-    report = {"checks": []}
-
-    series = bench.series_suite()
-    report["checks"].append({"name": "summation-lemma-suite", **series,
-                             "passed": series["violations"] == 0})
-
-    problem = bench.quadratic_testbed(5)
-    gamma0 = problem.value(problem.x0)
-    for regime, mu in (("mu_lt_half", 0.25), ("mu_eq_half", 0.5), ("mu_gt_half", 0.75)):
-        strat = ScalingStrategy(kind="adagrad-comp", mu=mu)
-        config = RunConfig(scaling=strat, model="none", norm="inf",
-                           eps=1e-30, max_iter=args.iters, keep_trace=True)
-        record = astr1(problem, config)
-        constants = bench.constants_from_run(record, L=1.0, Gamma0=gamma0)
-        result = bench.theory_check(record, constants, regime)
-        report["checks"].append({"name": f"bounds-{regime}",
-                                 "violations": result["violations"],
-                                 "passed": result["violations"] == 0})
-    strat = ScalingStrategy(kind="maxg-comp", mu=0.1, nu=0.1)
-    config = RunConfig(scaling=strat, model="none", norm="inf",
-                       eps=1e-30, max_iter=args.iters, keep_trace=True)
-    record = astr1(problem, config)
-    constants = bench.constants_from_run(record, L=1.0, Gamma0=gamma0)
-    result = bench.theory_check(record, constants, "ming")
-    report["checks"].append({"name": "bounds-ming",
-                             "violations": result["violations"],
-                             "passed": result["violations"] == 0})
-
-    # fdecrease on every scaling kind
-    worst = np.inf
-    for tag in sorted(VARIANT_TAGS):
-        config = variant_config(tag, eps=1e-30, max_iter=args.iters,
-                                keep_trace=True, record_f=True)
-        record = astr1(problem, config)
-        margins = driver.fdecrease_margins(record, L=1.0)
-        worst = min(worst, float(np.min(margins)))
-    report["checks"].append({"name": "guaranteed-decrease",
-                             "min_margin": worst, "passed": worst >= -1e-8})
-
-    wm1 = sharpness.lambert_wm1
-    resid = max(abs(w * np.exp(w) - y)
-                for y in (-1e-6, -0.05, -0.1, -0.2, -1 / np.e + 1e-9)
-                for w in (wm1(y),))
-    report["checks"].append({"name": "lambert-wm1-residual",
-                             "max_residual": resid,
-                             "passed": resid <= 1e-12 and wm1(-1 / np.e) == -1.0})
-
-    passed = all(c["passed"] for c in report["checks"])
-    for c in report["checks"]:
-        print(f"[{'PASS' if c['passed'] else 'FAIL'}] {c['name']}")
+    checks = bench.theory_battery(args.iters)
+    for c in checks:
+        print(f"[{'PASS' if c['passed'] else 'FAIL'}] {c['name']}: "
+              f"{c['violations']} violations, min margin {c['min_margin']:.3g}, "
+              f"{c['seconds']:.1f}s")
     if args.out:
         with open(args.out, "w") as fh:
-            json.dump(report, fh, indent=2, default=float)
+            json.dump({"checks": checks}, fh, indent=2, default=float)
         print(f"report -> {args.out}")
-    return 0 if passed else 2
+    return 0 if all(c["passed"] for c in checks) else 2
 
 
 def main(argv=None) -> int:

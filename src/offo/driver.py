@@ -76,14 +76,15 @@ class RunConfig:
 
 
 def variant_config(tag: str, **overrides) -> RunConfig:
-    """Run configuration matching one of the named algorithm variants."""
+    """Run configuration matching one of the named algorithm variants;
+    ``overrides`` may also replace the variant's ``model`` or ``norm``."""
     if tag == "sdba":
         return RunConfig(variant="sdba", **overrides)
     if tag not in VARIANTS:
         raise InvalidParameter(f"unknown variant tag {tag!r}")
     scaling_tag, model_kind, norm = VARIANTS[tag]
-    return RunConfig(scaling=scaling_tag, model=model_kind, norm=norm,
-                     variant=tag, **overrides)
+    return RunConfig(**{"scaling": scaling_tag, "model": model_kind, "norm": norm,
+                        "variant": tag, **overrides})
 
 
 @dataclass
@@ -322,8 +323,7 @@ def run_variant(problem: Problem, tag: str, **overrides) -> RunRecord:
     return astr1(problem, config)
 
 
-def fdecrease_margins(record: RunRecord, L: Optional[float] = None,
-                      kappaB: Optional[float] = None) -> np.ndarray:
+def fdecrease_margins(record: RunRecord, L: float) -> np.ndarray:
     """Margins of the guaranteed-decrease inequality at every iteration.
 
     Returns ``lhs_k - rhs_k`` where ``lhs_k = f(x_0) - f(x_{k+1})`` and
@@ -331,9 +331,8 @@ def fdecrease_margins(record: RunRecord, L: Optional[float] = None,
 
         g_{i,j}^2 / (2 kB w_{i,j}) * (tau * floor - kB (kB + L) / w_{i,j})
 
-    with ``kB = max(1, sup_j ||B_j||)``.  ``L`` defaults to the empirical
-    Lipschitz estimate ``max_j ||g_{j+1}-g_j|| / ||s_j||`` from the run itself.
-    Nonnegative margins mean the inequality holds.
+    with ``kB = max(1, sup_j ||B_j||)`` from the trace and ``L`` a Lipschitz
+    constant of the gradient.  Nonnegative margins mean the inequality holds.
     """
     tr = record.trace
     if tr is None or "w" not in tr or "f" not in tr:
@@ -344,12 +343,7 @@ def fdecrease_margins(record: RunRecord, L: Optional[float] = None,
         return np.zeros(0)
     if ws.shape != ss.shape:
         raise InvalidParameter("fdecrease needs a trust-region run, not sdba")
-    if L is None:
-        dg = np.linalg.norm(gs[1 : t + 1] - gs[:t], axis=1)
-        ds = np.linalg.norm(ss, axis=1)
-        L = float(np.max(dg / np.where(ds > 0, ds, np.inf)))
-    if kappaB is None:
-        kappaB = max(1.0, float(np.max(tr["bnorm"])) if len(tr["bnorm"]) else 1.0)
+    kappaB = max(1.0, float(np.max(tr["bnorm"])))
     floor = record.config.strategy.floor
     tau = record.config.tau
     g2 = gs[:t] ** 2

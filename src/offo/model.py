@@ -19,11 +19,12 @@ n^2 floats and an n x n eigensolve per update, as for the exact kind.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionMismatch, InvalidParameter, NonFiniteInput
+from .errors import DimensionMismatch, InvalidParameter, NonFiniteInput, NonFiniteValue
 
 KINDS = ("zero", "bb", "lbfgs", "exact")
 
@@ -94,14 +95,18 @@ def update_model(model, s_k, y_k, x_next=None, problem=None) -> HessianModel:
     The exact kind ignores them and queries the Hessian of ``problem`` (a
     ``Problem`` or ``NoisyProblem``) at ``x_next``, a float n-vector, without
     validating it and under the caller's ``np.errstate``; an overflowed
-    Hessian raises ``NonFiniteValue``.  Mutates and returns ``model``.
+    Hessian, or one whose symmetric part or norm overflows, raises
+    ``NonFiniteValue``.  Mutates and returns ``model``.
     """
     if model.kind == "exact":
         if problem is None or x_next is None:
             raise InvalidParameter("exact model needs the problem and the new iterate")
         hess = problem._query(x_next, ("hessian",))["hessian"]
         model.dense = 0.5 * (hess + hess.T)  # noisy oracles may break symmetry
-        _cap(model, _dense_norm(model.dense))
+        norm = _dense_norm(model.dense)
+        if not math.isfinite(norm):  # a finite Hessian can overflow here
+            raise NonFiniteValue("exact Hessian model overflowed")
+        _cap(model, norm)
         return model
     if model.kind == "zero" or s_k is None:
         return model

@@ -21,16 +21,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, InvalidParameter, NonFiniteInput, NonFiniteValue
 
-KINDS = (
-    "adagrad-agg",
-    "adagrad-comp",
-    "ewma-agg",
-    "ewma-comp",
-    "maxg-agg",
-    "maxg-comp",
-)
-
-#: benchmark variant tag -> scaling kind
+#: benchmark variant tag -> scaling kind, one tag per kind
 VARIANT_TAGS = {
     "adag1": "adagrad-agg",
     "adagi1": "adagrad-comp",
@@ -73,7 +64,7 @@ class ScalingStrategy:
     beta2: float = 0.9
 
     def __post_init__(self):
-        if self.kind not in KINDS:
+        if self.kind not in VARIANT_TAGS.values():
             raise InvalidParameter(f"unknown scaling kind {self.kind!r}")
         if not 0.0 < self.mu < 1.0:
             raise InvalidParameter(f"mu must lie in (0,1), got {self.mu}")

@@ -115,9 +115,6 @@ class KnotSequence:
     def knot_count(self) -> int:
         return len(self.x)
 
-    def decay_exponent(self) -> float:
-        return 0.5 + self.params["eta"] if self.kind == "sharp1" else self.params["omega"]
-
 
 def build_counterexample(kind: str, params: dict, K: int) -> KnotSequence:
     """Generate K steps of a slow-convergence sequence.

@@ -2,7 +2,8 @@
 
 Run with ``pytest -v tests/test_acceptance.py`` (add ``-s`` to see the
 summary lines as they are produced).  The benchmark-matrix criteria share two
-session-scoped result sets, whose cells are spread over two worker processes.
+session-scoped result sets, whose cells are spread over two worker processes;
+the theory criteria share one run of ``offo.bench.theory_battery``.
 """
 
 import multiprocessing
@@ -13,25 +14,11 @@ from functools import lru_cache, partial
 import numpy as np
 import pytest
 
-from offo.bench import (
-    BenchResults,
-    aggregate,
-    constants_from_run,
-    quadratic_testbed,
-    run_matrix,
-    series_suite,
-    theory_check,
-)
-from offo.driver import RunConfig, astr1, fdecrease_margins, variant_config
+from offo.bench import BenchResults, aggregate, run_matrix, theory_battery
+from offo.driver import VARIANTS, RunConfig, astr1
 from offo.model import apply_model, init_model, update_model
 from offo.problems import load_suite
-from offo.scaling import ScalingStrategy
-from offo.sharpness import (
-    build_counterexample,
-    interpolant_problem,
-    lambert_wm1,
-    verify_sharpness,
-)
+from offo.sharpness import build_counterexample, interpolant_problem, verify_sharpness
 from offo.step import make_region, solve_tr_step
 
 
@@ -42,7 +29,7 @@ def _line(num, passed, detail):
 
 
 # ---------------------------------------------------------------------------
-# shared benchmark matrices (criteria 6, 7, 8)
+# shared benchmark matrices (criteria 6, 7, 8) and theory battery (3, 4, 5)
 # ---------------------------------------------------------------------------
 
 BUDGET = 10_000
@@ -96,6 +83,12 @@ def noise_results():
                             noise_levels=[0.0, 0.25], reps=10, master_seed=42)
 
 
+@pytest.fixture(scope="session")
+def battery():
+    """The theory battery at the acceptance budget, by check name (criteria 3-5)."""
+    return {c["name"]: c for c in theory_battery(BUDGET)}
+
+
 # ---------------------------------------------------------------------------
 # criteria
 # ---------------------------------------------------------------------------
@@ -134,64 +127,34 @@ def test_criterion_2_sharp2_reproduction():
                  f"iteration-power retrace (5e4 knots): max rel |g| dev {dev:.2e}")
 
 
-def test_criterion_3_guaranteed_decrease():
-    tags = ["adagi1", "adag1", "adagi2", "adag2", "maxg01", "maxgi01"]
-    worst = np.inf
-    violations = 0
-    for n in (1, 5, 20):
-        problem = quadratic_testbed(n)
-        for tag in tags:
-            config = variant_config(tag, eps=1e-30, max_iter=BUDGET,
-                                    keep_trace=True, record_f=True)
-            record = astr1(problem, config)
-            margins = fdecrease_margins(record, L=1.0)
-            worst = min(worst, float(np.min(margins)))
-            violations += int(np.sum(margins < -1e-8))
-    ok = violations == 0
+def test_criterion_3_guaranteed_decrease(battery):
+    check = battery["guaranteed-decrease"]
+    ok = check["violations"] == 0
     assert _line(3, ok,
-                 f"decrease inequality, 6 scalings x n in (1,5,20) x 1e4 iters: "
-                 f"{violations} violations, worst margin {worst:.2e}")
+                 f"decrease inequality, {len(VARIANTS)} variants x n in (1,5,20) x 1e4 "
+                 f"iters: {check['violations']} margins below -1e-8, worst margin "
+                 f"{check['min_margin']:.2e}")
 
 
-def test_criterion_4_theory_bounds():
-    problem = quadratic_testbed(5)
-    gamma0 = problem.value(problem.x0)
-    total = 0
-    for mu, regime in ((0.25, "mu_lt_half"), (0.5, "mu_eq_half"),
-                       (0.75, "mu_gt_half")):
-        strat = ScalingStrategy(kind="adagrad-comp", mu=mu)
-        config = RunConfig(scaling=strat, model="none", norm="inf",
-                           eps=1e-30, max_iter=BUDGET, keep_trace=True)
-        record = astr1(problem, config)
-        constants = constants_from_run(record, L=1.0, Gamma0=gamma0)
-        total += theory_check(record, constants, regime)["violations"]
-    strat = ScalingStrategy(kind="maxg-comp", mu=0.1, nu=0.1)
-    config = RunConfig(scaling=strat, model="none", norm="inf",
-                       eps=1e-30, max_iter=BUDGET, keep_trace=True)
-    record = astr1(problem, config)
-    constants = constants_from_run(record, L=1.0, Gamma0=gamma0)
-    total += theory_check(record, constants, "ming")["violations"]
-
+def test_criterion_4_theory_bounds(battery):
+    bounds = [c for name, c in battery.items() if name.startswith("bounds-")]
+    total = sum(c["violations"] for c in bounds)
     # the half-power constant's special-function dependency
-    ys = (-1e-6, -0.05, -0.2, -1 / np.e + 1e-10)
-    resid = max(abs(w * np.exp(w) - y) / abs(y) for y in ys for w in (lambert_wm1(y),))
-    branch_exact = lambert_wm1(-1.0 / np.e) == -1.0
-    ok = total == 0 and resid <= 1e-12 and branch_exact
+    wm1 = battery["lambert-wm1-residual"]
+    ok = total == 0 and wm1["max_residual"] <= 1e-12 and wm1["branch_exact"]
     assert _line(4, ok,
-                 f"k-order/mean-square/windowed bounds over 1e4 iters: {total} "
-                 f"violations; W_-1 residual {resid:.1e}, branch point exact: "
-                 f"{branch_exact}")
+                 f"k-order/mean-square/windowed bounds of {len(bounds)} runs, budget "
+                 f"1e4 iters: {total} violations; W_-1 residual {wm1['max_residual']:.1e}, "
+                 f"branch point exact: {wm1['branch_exact']}")
 
 
-def test_criterion_5_summation_lemma_suite():
-    start = time.perf_counter()
-    out = series_suite(n_sequences=1000, seed=2024)
-    elapsed = time.perf_counter() - start
-    ok = out["violations"] == 0 and elapsed < 5.0
+def test_criterion_5_summation_lemma_suite(battery):
+    check = battery["summation-lemma-suite"]
+    ok = check["violations"] == 0 and check["seconds"] < 5.0
     assert _line(5, ok,
-                 f"1000 random sequences x 4+1 bound forms: {out['violations']} "
-                 f"violations, worst margin {out['worst_margin']:.2e}, "
-                 f"{elapsed:.1f}s")
+                 f"1000 random sequences x 4+1 bound forms: {check['violations']} "
+                 f"violations, worst margin {check['min_margin']:.2e}, "
+                 f"{check['seconds']:.1f}s")
 
 
 def test_criterion_6_step_solver_contract(ordering_results, noise_results):

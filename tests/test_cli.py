@@ -1,5 +1,6 @@
 import json
 
+from offo import bench
 from offo.cli import main
 
 
@@ -66,12 +67,27 @@ class TestSharpness:
 
 
 class TestCheck:
-    def test_battery_passes_and_writes_report(self, tmp_path, capsys):
+    def test_battery_passes_and_writes_report(self, tmp_path, capsys, monkeypatch):
+        battery, ran = bench.theory_battery, []
+
+        def recorded(iters):
+            ran.append(battery(iters))
+            return ran[-1]
+
+        monkeypatch.setattr(bench, "theory_battery", recorded)
         path = tmp_path / "report.json"
         rc = main(["check", "--iters", "400", "--out", str(path)])
         assert rc == 0
         blob = json.loads(path.read_text())
         assert all(c["passed"] for c in blob["checks"])
-        names = {c["name"] for c in blob["checks"]}
+        names = [c["name"] for c in blob["checks"]]
+        assert names == [c["name"] for c in ran[0]]
         assert "summation-lemma-suite" in names
         assert "lambert-wm1-residual" in names
+
+    def test_a_failing_check_fails_the_command(self, capsys, monkeypatch):
+        failing = {"name": "broken", "violations": 3, "min_margin": -0.5,
+                   "passed": False, "seconds": 0.0}
+        monkeypatch.setattr(bench, "theory_battery", lambda iters: [failing])
+        assert main(["check", "--iters", "10"]) == 2
+        assert "[FAIL] broken" in capsys.readouterr().out

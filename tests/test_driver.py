@@ -149,6 +149,18 @@ class TestOverflow:
         assert rec.status == "overflow-failure"
         assert rec.iters == 0
 
+    def test_hessian_norm_overflow_with_finite_hessian(self):
+        # every entry is finite, but the symmetric part's norm is not
+        h = np.array([[1e308, 1.5e308], [1.5e308, 1e308]])
+        p = Problem(
+            name="bighess", n=2, x0=np.array([1.0, 1.0]),
+            f=lambda x: float(0.5 * x @ x), g=lambda x: x.copy(), h=lambda x: h,
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rec = astr1(p, RunConfig(scaling="adagi1", model="exact", max_iter=3))
+        assert rec.status == "overflow-failure"
+        assert rec.iters == 0
 
     def test_secant_pair_overflow_with_finite_gradients(self):
         # g flips between +-0.9e308: both are finite, their difference is not
@@ -274,6 +286,8 @@ class TestConfig:
         assert cfg.norm == "two" and cfg.strategy.kind == "maxg-agg"
         cfg = variant_config("Eadagi1")
         assert cfg.model == "exact"
+        cfg = variant_config("adagi1", model="bb", norm="two")
+        assert cfg.model == "bb" and cfg.norm == "two" and cfg.variant == "adagi1"
 
     def test_custom_strategy_accepted(self):
         strat = ScalingStrategy("adagrad-comp", mu=0.25)
