@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from . import bench, driver, sharpness
@@ -136,8 +137,11 @@ def _cmd_check(args) -> int:
               f"{c['violations']} violations, min margin {c['min_margin']:.3g}, "
               f"{c['seconds']:.1f}s")
     if args.out:
+        # strict JSON: a margin that does not exist (inf) is written as null
+        report = [{k: None if isinstance(v, float) and not math.isfinite(v) else v
+                   for k, v in c.items()} for c in checks]
         with open(args.out, "w") as fh:
-            json.dump({"checks": checks}, fh, indent=2, default=float)
+            json.dump({"checks": report}, fh, indent=2, default=float, allow_nan=False)
         print(f"report -> {args.out}")
     return 0 if all(c["passed"] for c in checks) else 2
 

@@ -149,6 +149,62 @@ class _Trace:
         return out
 
 
+def _run(problem: Problem, config: RunConfig, want: tuple, step, variant) -> RunRecord:
+    """The iteration both methods share: query ``want`` at each iterate, stop
+    on the gradient norm test or the budget, else step by
+    ``step(k, x, g, f, oracle, counters, trace)``.  A step of None ends the run
+    as budget-exhausted, an overflow as ``overflow-failure`` (never raised)."""
+    oracle = NoisyProblem(problem, config.noise_level, config.noise_seed)
+    counters = {"sbound_violations": 0, "gcp_violations": 0,
+                "wfloor_violations": 0, "armijo_stalls": 0}
+    trace = _Trace(config.keep_trace, "value" in want)
+
+    x = problem._checked(problem.x0, want)[0].copy()
+    status = STATUS_BUDGET
+    steps = 0
+    gnorm = np.nan
+    fval = None
+
+    # one errstate per run: overflow surfaces as NonFiniteValue, never a warning
+    with np.errstate(all="ignore"):
+        for k in range(config.max_iter + 1):
+            try:
+                out = oracle._query(x, want)
+                g = out["gradient"]
+                fval = out.get("value")
+                gnorm = euclidean_norm(g)
+                trace.iterate(x, g, gnorm, fval)
+                if gnorm <= config.eps:
+                    status = STATUS_CONVERGED
+                    break
+                if k == config.max_iter:
+                    break
+                s = step(k, x, g, fval, oracle, counters, trace)
+            except (NonFiniteValue, NonFiniteInput):
+                # squared-gradient accumulators, the exact Hessian and g - prev_g
+                # can overflow for finite gradients
+                status = STATUS_OVERFLOW
+                break
+            if s is None:
+                break
+            x = x + s
+            steps += 1
+
+    return RunRecord(
+        problem=problem.name,
+        variant=variant,
+        config=config,
+        status=status,
+        iters=steps,
+        x_final=x,
+        final_gnorm=gnorm,
+        final_f=fval,
+        counters=counters,
+        neval=oracle.counts,
+        trace=trace.freeze(),
+    )
+
+
 def astr1(problem: Problem, config: RunConfig) -> RunRecord:
     """Run the scaled trust-region method on a problem.
 
@@ -161,158 +217,63 @@ def astr1(problem: Problem, config: RunConfig) -> RunRecord:
     on every iteration and are counted in ``counters``.
     """
     n = problem.n
-    oracle = NoisyProblem(problem, config.noise_level, config.noise_seed)
     strategy = config.strategy
     floor = strategy.floor
     state = init_scaling(strategy, n)
     model = init_model(config.model if config.model != "none" else "zero", n, config.kappaB)
-    counters = {"sbound_violations": 0, "gcp_violations": 0,
-                "wfloor_violations": 0, "armijo_stalls": 0}
-    trace = _Trace(config.keep_trace, config.record_f)
-    want = ("value", "gradient") if config.record_f else ("gradient",)
-
-    x = problem._checked(problem.x0, want)[0].copy()
     prev_g = prev_s = None
-    status = STATUS_BUDGET
-    steps = 0
-    gnorm = np.nan
-    fval = None
 
-    # one errstate per run: overflow surfaces as NonFiniteValue, never a warning
-    with np.errstate(all="ignore"):
-        for k in range(config.max_iter + 1):
-            try:
-                out = oracle._query(x, want)
-            except NonFiniteValue:
-                status = STATUS_OVERFLOW
-                break
-            g = out["gradient"]
-            fval = out.get("value")
-            gnorm = euclidean_norm(g)
-            trace.iterate(x, g, gnorm, fval)
-            if gnorm <= config.eps:
-                status = STATUS_CONVERGED
-                break
-            if k == config.max_iter:
-                status = STATUS_BUDGET
-                break
+    def step(k, x, g, fval, oracle, counters, trace):
+        nonlocal prev_g, prev_s
+        w = update_scaling(state, g, k)
+        if not (w >= floor).all():
+            counters["wfloor_violations"] += 1
+        tr = make_region(config.norm, g, w)
+        update_model(model, prev_s, None if k == 0 else g - prev_g, x, oracle)
+        cp = cauchy_point(g, model, tr)
+        s = solve_tr_step(g, model, tr, config.tau, cauchy=cp)
 
-            try:
-                # squared-gradient accumulators can overflow even for finite g
-                w = update_scaling(state, g, k)
-            except NonFiniteValue:
-                status = STATUS_OVERFLOW
-                break
-            if not (w >= floor).all():
-                counters["wfloor_violations"] += 1
-            tr = make_region(config.norm, g, w)
-            try:
-                update_model(model, prev_s, None if k == 0 else g - prev_g, x, oracle)
-            except (NonFiniteValue, NonFiniteInput):
-                # the exact Hessian, or g - prev_g, can overflow for finite gradients
-                status = STATUS_OVERFLOW
-                break
-            cp = cauchy_point(g, model, tr)
-            s = solve_tr_step(g, model, tr, config.tau, cauchy=cp)
+        if config.norm == "inf":
+            feasible = bool((np.abs(s) <= tr.radii).all())
+        else:
+            feasible = float(np.linalg.norm(s)) <= tr.radius * (1.0 + 1e-12)
+        if not feasible:
+            counters["sbound_violations"] += 1
+        q_s = model_value(g, model, s)
+        q_c = q_s if s is cp.sQ else model_value(g, model, cp.sQ)
+        if q_s > config.tau * q_c:
+            counters["gcp_violations"] += 1
 
-            if config.norm == "inf":
-                feasible = bool((np.abs(s) <= tr.radii).all())
-            else:
-                feasible = float(np.linalg.norm(s)) <= tr.radius * (1.0 + 1e-12)
-            if not feasible:
-                counters["sbound_violations"] += 1
-            q_s = model_value(g, model, s)
-            q_c = q_s if s is cp.sQ else model_value(g, model, cp.sQ)
-            if q_s > config.tau * q_c:
-                counters["gcp_violations"] += 1
+        if config.keep_trace:
+            trace.step(w, tr.radii, s, cp.qdec, model.norm_bound())
+        prev_g, prev_s = g, s
+        return s
 
-            if config.keep_trace:
-                trace.step(w, tr.radii, s, cp.qdec, model.norm_bound())
-            x = x + s
-            prev_g, prev_s = g, s
-            steps += 1
-
-    return RunRecord(
-        problem=problem.name,
-        variant=config.variant,
-        config=config,
-        status=status,
-        iters=steps,
-        x_final=x,
-        final_gnorm=gnorm,
-        final_f=fval,
-        counters=counters,
-        neval=oracle.counts,
-        trace=trace.freeze(),
-    )
+    want = ("value", "gradient") if config.record_f else ("gradient",)
+    return _run(problem, config, want, step, config.variant)
 
 
 def sdba(problem: Problem, config: RunConfig) -> RunRecord:
     """Steepest descent with Armijo backtracking (the f-evaluating baseline)."""
-    oracle = NoisyProblem(problem, config.noise_level, config.noise_seed)
-    counters = {"sbound_violations": 0, "gcp_violations": 0,
-                "wfloor_violations": 0, "armijo_stalls": 0}
-    trace = _Trace(config.keep_trace, True)
 
-    x = problem._checked(problem.x0, ("value", "gradient"))[0].copy()
-    status = STATUS_BUDGET
-    steps = 0
-    gnorm = np.nan
-    fval = None
-
-    with np.errstate(all="ignore"):
-        for k in range(config.max_iter + 1):
+    def step(k, x, g, fval, oracle, counters, trace):
+        d = -g
+        gd = float(g @ d)
+        alpha = 1.0
+        for _ in range(ARMIJO_MAX_BACKTRACKS + 1):
             try:
-                out = oracle._query(x, ("value", "gradient"))
+                f_trial = oracle._query(x + alpha * d, ("value",))["value"]
             except NonFiniteValue:
-                status = STATUS_OVERFLOW
-                break
-            g = out["gradient"]
-            fval = out["value"]
-            gnorm = euclidean_norm(g)
-            trace.iterate(x, g, gnorm, fval)
-            if gnorm <= config.eps:
-                status = STATUS_CONVERGED
-                break
-            if k == config.max_iter:
-                status = STATUS_BUDGET
-                break
+                f_trial = np.inf  # reject the trial point, keep backtracking
+            if f_trial <= fval + ARMIJO_C * alpha * gd:
+                s = alpha * d
+                trace.step(np.zeros(0), np.zeros(0), s, -alpha * gd, 0.0)
+                return s
+            alpha *= ARMIJO_FACTOR
+        counters["armijo_stalls"] += 1
+        return None  # a stalled search ends the run
 
-            d = -g
-            gd = float(g @ d)
-            alpha = 1.0
-            accepted = False
-            for _ in range(ARMIJO_MAX_BACKTRACKS + 1):
-                try:
-                    f_trial = oracle._query(x + alpha * d, ("value",))["value"]
-                except NonFiniteValue:
-                    f_trial = np.inf  # reject the trial point, keep backtracking
-                if f_trial <= fval + ARMIJO_C * alpha * gd:
-                    accepted = True
-                    break
-                alpha *= ARMIJO_FACTOR
-            if not accepted:
-                counters["armijo_stalls"] += 1
-                status = STATUS_BUDGET
-                break
-            s = alpha * d
-            trace.step(np.zeros(0), np.zeros(0), s, -alpha * gd, 0.0)
-            x = x + s
-            steps += 1
-
-    return RunRecord(
-        problem=problem.name,
-        variant=config.variant or "sdba",
-        config=config,
-        status=status,
-        iters=steps,
-        x_final=x,
-        final_gnorm=gnorm,
-        final_f=fval,
-        counters=counters,
-        neval=oracle.counts,
-        trace=trace.freeze(),
-    )
+    return _run(problem, config, ("value", "gradient"), step, config.variant or "sdba")
 
 
 def run_variant(problem: Problem, tag: str, **overrides) -> RunRecord:

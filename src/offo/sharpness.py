@@ -144,27 +144,11 @@ def _build_sharp1(params: dict, K: int) -> KnotSequence:
     if not 0.0 < eta <= 1.0:
         raise InvalidParameter(f"eta must lie in (0,1], got {eta}")
     strategy = ScalingStrategy(kind="adagrad-comp", mu=mu, varsigma=varsigma, vartheta=1.0)
-    state = init_scaling(strategy, 1)
-
-    x = np.empty(K + 1)
-    f = np.empty(K + 1)
-    g = np.empty(K + 1)
-    s = np.empty(K)
-    x[0] = 0.0
-    f[0] = 4.0 / (varsigma + 4.0) ** mu + zeta(1.0 + 2.0 * eta)
-    gk = np.empty(1)
-    for k in range(K + 1):
-        g[k] = -2.0 if k == 0 else -1.0 / k ** (0.5 + eta)
-        if k == K:
-            break
-        gk[0] = g[k]
-        w = update_scaling(state, gk, k)[0]
-        s[k] = abs(g[k]) / w
-        x[k + 1] = x[k] + s[k]
-        f[k + 1] = f[k] + g[k] * s[k]
-    kappa_f = max(1.5 * (varsigma + 5.0) ** mu, f[0], 2.0)
-    return KnotSequence("sharp1", {"mu": mu, "eta": eta, "varsigma": varsigma},
-                        0, x, f, g, s, kappa_f, strategy)
+    grads = [-2.0] + [-1.0 / k ** (0.5 + eta) for k in range(1, K + 1)]
+    f0 = 4.0 / (varsigma + 4.0) ** mu + zeta(1.0 + 2.0 * eta)
+    kappa_f = max(1.5 * (varsigma + 5.0) ** mu, f0, 2.0)
+    return _replay("sharp1", {"mu": mu, "eta": eta, "varsigma": varsigma},
+                   strategy, grads, f0, 0, kappa_f)
 
 
 def _build_sharp2(params: dict, K: int) -> KnotSequence:
@@ -180,27 +164,30 @@ def _build_sharp2(params: dict, K: int) -> KnotSequence:
     # w_k = k^nu for k >= 1 is exactly the maxg rule with unit floor, since
     # every |g_k| <= 1 keeps the running max at the floor
     strategy = ScalingStrategy(kind="maxg-comp", mu=nu, nu=nu, varsigma=1.0)
-    state = init_scaling(strategy, 1)
+    grads = [-1.0 / k**omega for k in range(1, K + 2)]
+    return _replay("sharp2", {"nu": nu, "omega": omega}, strategy, grads,
+                   zeta(2.0 * omega + nu), 1, omega)
 
-    x = np.empty(K + 1)
+
+def _replay(kind, params, strategy, grads, f0, k_start, kappa_f) -> KnotSequence:
+    """Knots of the run that meets the prescribed gradients ``grads``: the
+    step from knot j is s_j = |g_j| / w_j, with w_j from the driver's own
+    scaling update, and the values follow f_{j+1} = f_j + g_j s_j."""
+    K = len(grads) - 1
+    state = init_scaling(strategy, 1)
+    g = np.array(grads)
+    x = np.zeros(K + 1)
     f = np.empty(K + 1)
-    g = np.empty(K + 1)
     s = np.empty(K)
-    x[0] = 0.0
-    f[0] = zeta(2.0 * omega + nu)
+    f[0] = f0
     gk = np.empty(1)
-    for j in range(K + 1):
-        k = j + 1
-        g[j] = -1.0 / k**omega
-        if j == K:
-            break
+    for j in range(K):
         gk[0] = g[j]
         w = update_scaling(state, gk, j)[0]
         s[j] = abs(g[j]) / w
         x[j + 1] = x[j] + s[j]
         f[j + 1] = f[j] + g[j] * s[j]
-    return KnotSequence("sharp2", {"nu": nu, "omega": omega},
-                        1, x, f, g, s, omega, strategy)
+    return KnotSequence(kind, params, k_start, x, f, g, s, kappa_f, strategy)
 
 
 class Interpolant:

@@ -139,13 +139,15 @@ def test_criterion_3_guaranteed_decrease(battery):
 def test_criterion_4_theory_bounds(battery):
     bounds = [c for name, c in battery.items() if name.startswith("bounds-")]
     total = sum(c["violations"] for c in bounds)
+    vacuous = sum(c["vacuous"] for c in bounds)
     # the half-power constant's special-function dependency
     wm1 = battery["lambert-wm1-residual"]
-    ok = total == 0 and wm1["max_residual"] <= 1e-12 and wm1["branch_exact"]
+    ok = (total == 0 and all(c["passed"] for c in bounds)
+          and wm1["max_residual"] <= 1e-12 and wm1["branch_exact"])
     assert _line(4, ok,
                  f"k-order/mean-square/windowed bounds of {len(bounds)} runs, budget "
-                 f"1e4 iters: {total} violations; W_-1 residual {wm1['max_residual']:.1e}, "
-                 f"branch point exact: {wm1['branch_exact']}")
+                 f"1e4 iters: {total} violations, {vacuous} vacuous; W_-1 residual "
+                 f"{wm1['max_residual']:.1e}, branch point exact: {wm1['branch_exact']}")
 
 
 def test_criterion_5_summation_lemma_suite(battery):

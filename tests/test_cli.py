@@ -85,6 +85,19 @@ class TestCheck:
         assert "summation-lemma-suite" in names
         assert "lambert-wm1-residual" in names
 
+    def test_report_is_strict_json(self, tmp_path, capsys):
+        # at 50 iterations the bounds-ming window starts past the run
+        path = tmp_path / "report.json"
+        assert main(["check", "--iters", "50", "--out", str(path)]) == 2
+
+        def reject(name):
+            raise ValueError(f"non-standard JSON constant {name}")
+
+        blob = json.loads(path.read_text(), parse_constant=reject)
+        ming = {c["name"]: c for c in blob["checks"]}["bounds-ming"]
+        assert ming["vacuous"] and not ming["passed"]
+        assert ming["min_margin"] is None
+
     def test_a_failing_check_fails_the_command(self, capsys, monkeypatch):
         failing = {"name": "broken", "violations": 3, "min_margin": -0.5,
                    "passed": False, "seconds": 0.0}

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from offo.driver import (
+    ARMIJO_MAX_BACKTRACKS,
     RunConfig,
     astr1,
     euclidean_norm,
@@ -244,6 +245,40 @@ class TestSdba:
         (p,) = load_suite(["beale"])
         rec = run_variant(p, "sdba", max_iter=100)
         assert rec.neval["value"] > 0
+
+    def test_uphill_gradient_stalls_the_search(self):
+        # g = -1e20 x points uphill on f = x^2/2, and steeply enough that even
+        # the shortest trial moves off x0: no trial passes the Armijo test
+        p = Problem(name="uphill", n=1, x0=np.array([1.0]),
+                    f=lambda x: float(0.5 * x @ x), g=lambda x: -1e20 * x)
+        rec = sdba(p, variant_config("sdba", max_iter=10))
+        assert rec.status == "budget-exhausted"
+        assert rec.counters["armijo_stalls"] == 1
+        assert rec.iters == 0
+        assert rec.neval["value"] == 1 + 1 + ARMIJO_MAX_BACKTRACKS
+
+    def test_oracle_overflow_at_x0(self):
+        p = Problem(name="explode", n=1, x0=np.array([800.0]),
+                    f=lambda x: float(np.exp(x[0])), g=lambda x: np.array([np.exp(x[0])]))
+        rec = sdba(p, variant_config("sdba", max_iter=10))
+        assert rec.status == "overflow-failure"
+        assert rec.iters == 0
+
+    def test_overflowing_trial_value_is_rejected(self):
+        # f = exp(x^2) from x0 = 3: the unit trial x0 - g(x0) ~ -4.9e4 overflows
+        p = Problem(name="steepwell", n=1, x0=np.array([3.0]),
+                    f=lambda x: float(np.exp(x[0] ** 2)),
+                    g=lambda x: np.array([2.0 * x[0] * np.exp(x[0] ** 2)]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rec = sdba(p, variant_config("sdba", max_iter=1, keep_trace=True))
+        assert rec.status == "budget-exhausted"
+        assert rec.iters == 1
+        assert rec.counters["armijo_stalls"] == 0
+        assert rec.neval["value"] > 3  # several trials were backtracked
+        s = rec.trace["s"][0, 0]
+        assert -rec.trace["g"][0, 0] < s < 0.0
+        assert rec.trace["f"][1] < rec.trace["f"][0]
 
 
 class TestFdecrease:

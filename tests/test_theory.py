@@ -8,6 +8,7 @@ from offo.bench import (
     series_bound_margins,
     series_corollary_margins,
     series_suite,
+    theory_battery,
     theory_check,
 )
 from offo.driver import RunConfig, astr1
@@ -149,3 +150,12 @@ def test_theory_constants_validation():
     with pytest.raises(MissingConstants):
         TheoryConstants(n=1, mu=0.5, varsigma=0.01, vartheta=1.0, tau=0.1,
                         kappaB=np.nan, L=1.0, kappa_g=1.0, Gamma0=1.0)
+
+
+def test_battery_fails_a_vacuous_bound_check():
+    # the bounds-ming window starts at j_theta ~ 60.3, past a 50-step run
+    short = {c["name"]: c for c in theory_battery(50)}["bounds-ming"]
+    assert short["vacuous"] and not short["passed"]
+    long = {c["name"]: c for c in theory_battery(400)}["bounds-ming"]
+    assert not long["vacuous"] and long["passed"]
+    assert long["violations"] == 0 and np.isfinite(long["min_margin"])
