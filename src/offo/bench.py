@@ -95,28 +95,26 @@ def _true_finals(problem: Problem, x_final: np.ndarray):
     return float(out["value"]), euclidean_norm(out["gradient"])
 
 
-def _scored(final_gnorm: float, final_f, problem: Problem,
-            gtol: float = GRAD_SUCCESS_TOL, ftol: float = F_SUCCESS_TOL) -> bool:
-    if np.isfinite(final_gnorm) and final_gnorm <= gtol:
+def _scored(final_gnorm: float, final_f, problem: Problem) -> bool:
+    if np.isfinite(final_gnorm) and final_gnorm <= GRAD_SUCCESS_TOL:
         return True
     if final_f is None or not np.isfinite(final_f):
         return False
     f_ref = problem.f_ref
     if f_ref is None:
         raise MissingReference(f"{problem.name} carries no reference optimum")
-    if abs(f_ref) < ftol:
-        return abs(final_f) <= ftol
-    return abs(final_f - f_ref) / abs(f_ref) <= ftol
+    if abs(f_ref) < F_SUCCESS_TOL:
+        return abs(final_f) <= F_SUCCESS_TOL
+    return abs(final_f - f_ref) / abs(f_ref) <= F_SUCCESS_TOL
 
 
-def success(summary, problem: Problem, gtol: float = GRAD_SUCCESS_TOL,
-            ftol: float = F_SUCCESS_TOL) -> bool:
+def success(summary, problem: Problem) -> bool:
     """Three-clause success rule on true final values.
 
     ``summary`` needs ``final_gnorm`` and ``final_f`` attributes (a
     :class:`CellResult` or any record-like object).
     """
-    return _scored(summary.final_gnorm, summary.final_f, problem, gtol, ftol)
+    return _scored(summary.final_gnorm, summary.final_f, problem)
 
 
 def run_matrix(variants: Iterable[str], problems: Iterable[Problem],
@@ -192,12 +190,12 @@ def comparable_problems(results: BenchResults) -> list:
     return keep
 
 
-def profile_area(ratios: np.ndarray, n_instances: int, tmax: float = PROFILE_TMAX) -> float:
-    """Mean of the profile step curve over [1, tmax] (the ``pi`` score)."""
+def profile_area(ratios: np.ndarray, n_instances: int) -> float:
+    """Mean of the profile step curve over [1, PROFILE_TMAX] (the ``pi`` score)."""
     if n_instances == 0:
         return 0.0
     rs = np.sort(ratios[np.isfinite(ratios)])
-    rs = rs[rs <= tmax]
+    rs = rs[rs <= PROFILE_TMAX]
     count = int(np.sum(rs <= 1.0))
     area = 0.0
     prev = 1.0
@@ -205,8 +203,8 @@ def profile_area(ratios: np.ndarray, n_instances: int, tmax: float = PROFILE_TMA
         area += (r - prev) * count / n_instances
         prev = r
         count += 1
-    area += (tmax - prev) * count / n_instances
-    return area / tmax
+    area += (PROFILE_TMAX - prev) * count / n_instances
+    return area / PROFILE_TMAX
 
 
 def profile_curve(ratios: np.ndarray, n_instances: int, ts: np.ndarray) -> np.ndarray:
@@ -215,7 +213,7 @@ def profile_curve(ratios: np.ndarray, n_instances: int, ts: np.ndarray) -> np.nd
     return np.searchsorted(finite, ts, side="right") / max(n_instances, 1)
 
 
-def aggregate(results: BenchResults, tmax: float = PROFILE_TMAX) -> dict:
+def aggregate(results: BenchResults) -> dict:
     """Performance profiles, pi and rho per (variant, noise level)."""
     if not results.cells:
         raise EmptyResults("no cells to aggregate")
@@ -249,7 +247,7 @@ def aggregate(results: BenchResults, tmax: float = PROFILE_TMAX) -> dict:
             attempts = len(vc)
             wins = sum(c.success for c in vc)
             rho[(v, level)] = 100.0 * wins / attempts if attempts else 0.0
-            pi[(v, level)] = profile_area(ratios[v], len(keys), tmax)
+            pi[(v, level)] = profile_area(ratios[v], len(keys))
             profiles[(v, level)] = ratios[v]
     return {
         "pi": pi,

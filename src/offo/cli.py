@@ -134,8 +134,8 @@ def _cmd_check(args) -> int:
     checks = bench.theory_battery(args.iters)
     for c in checks:
         print(f"[{'PASS' if c['passed'] else 'FAIL'}] {c['name']}: "
-              f"{c['violations']} violations, min margin {c['min_margin']:.3g}, "
-              f"{c['seconds']:.1f}s")
+              f"{'vacuous, ' if c.get('vacuous') else ''}{c['violations']} violations, "
+              f"min margin {c['min_margin']:.3g}, {c['seconds']:.1f}s")
     if args.out:
         # strict JSON: a margin that does not exist (inf) is written as null
         report = [{k: None if isinstance(v, float) and not math.isfinite(v) else v

@@ -220,7 +220,7 @@ def astr1(problem: Problem, config: RunConfig) -> RunRecord:
     strategy = config.strategy
     floor = strategy.floor
     state = init_scaling(strategy, n)
-    model = init_model(config.model if config.model != "none" else "zero", n, config.kappaB)
+    model = init_model(config.model, n, config.kappaB)
     prev_g = prev_s = None
 
     def step(k, x, g, fval, oracle, counters, trace):
@@ -261,11 +261,14 @@ def sdba(problem: Problem, config: RunConfig) -> RunRecord:
         gd = float(g @ d)
         alpha = 1.0
         for _ in range(ARMIJO_MAX_BACKTRACKS + 1):
+            trial = x + alpha * d
             try:
-                f_trial = oracle._query(x + alpha * d, ("value",))["value"]
+                f_trial = oracle._query(trial, ("value",))["value"]
             except NonFiniteValue:
                 f_trial = np.inf  # reject the trial point, keep backtracking
             if f_trial <= fval + ARMIJO_C * alpha * gd:
+                if (trial == x).all():
+                    break  # a step below the rounding of x: the search has stalled
                 s = alpha * d
                 trace.step(np.zeros(0), np.zeros(0), s, -alpha * gd, 0.0)
                 return s

@@ -4,10 +4,10 @@ Four kinds are supported:
 
 * ``zero``   B = 0 (purely first-order),
 * ``bb``     the scalar diagonal approximation  B = (||s||^2 / y's) I,
-* ``lbfgs``  up to ``m`` BFGS updates, by the stored secant pairs, of the
-  scalar base sigma I built from the newest accepted pair.  The operator is
-  rebuilt once per accepted pair from the compact representation of Byrd,
-  Nocedal & Schnabel (Math. Prog. 63, 1994) and stored as a dense matrix,
+* ``lbfgs``  up to ``LBFGS_PAIRS`` BFGS updates, by the stored secant pairs,
+  of the scalar base sigma I built from the newest accepted pair.  The
+  operator is rebuilt once per accepted pair by the dense BFGS recursion,
+  oldest pair first, and stored as a dense matrix,
 * ``exact``  the problem's own (symmetrised) Hessian at the new iterate.
 
 Every kind enforces the spectral-norm cap ``kappaB`` by rescaling the whole
@@ -28,6 +28,9 @@ from .errors import DimensionMismatch, InvalidParameter, NonFiniteInput, NonFini
 
 KINDS = ("zero", "bb", "lbfgs", "exact")
 
+#: the lbfgs pair budget (the ``lbfgs3`` variant)
+LBFGS_PAIRS = 3
+
 #: relative curvature threshold below which a secant pair is discarded
 CURVATURE_MIN = 1e-15
 
@@ -39,7 +42,6 @@ class HessianModel:
     kind: str
     n: int
     kappaB: float = 1e6
-    m: int = 3  # lbfgs pair budget
     sigma: float = 0.0  # the bb scalar
     pairs: list = field(default_factory=list)  # lbfgs (s, y) ring buffer, oldest first
     dense: np.ndarray = None  # lbfgs and exact: the symmetric matrix before rescaling
@@ -51,8 +53,6 @@ class HessianModel:
             raise InvalidParameter(f"unknown model kind {self.kind!r}")
         if self.kappaB < 1.0:
             raise InvalidParameter(f"kappaB must be >= 1, got {self.kappaB}")
-        if self.kind == "lbfgs" and self.m < 1:
-            raise InvalidParameter("lbfgs needs at least one pair slot")
 
     @property
     def is_zero(self) -> bool:
@@ -68,11 +68,12 @@ class HessianModel:
         return self.bnorm
 
 
-def init_model(kind: str, n: int, kappaB: float = 1e6, m: int = 3) -> HessianModel:
-    """Fresh model; bb/lbfgs start at B = 0 until a usable secant pair arrives."""
-    if kind == "lbfgs3":
-        kind, m = "lbfgs", 3
-    return HessianModel(kind=kind, n=n, kappaB=kappaB, m=m)
+def init_model(kind: str, n: int, kappaB: float = 1e6) -> HessianModel:
+    """Fresh model of a model kind or a ``RunConfig.model`` name ("none" is
+    the zero kind, "lbfgs3" the lbfgs kind); bb/lbfgs start at B = 0 until a
+    usable secant pair arrives."""
+    kind = {"none": "zero", "lbfgs3": "lbfgs"}.get(kind, kind)
+    return HessianModel(kind=kind, n=n, kappaB=kappaB)
 
 
 def apply_model(model: HessianModel, v: np.ndarray) -> np.ndarray:
@@ -128,44 +129,18 @@ def update_model(model, s_k, y_k, x_next=None, problem=None) -> HessianModel:
         _cap(model, model.sigma)
         return model
 
-    # lbfgs: fresh scalar base from the newest pair, then the buffer's updates
-    pairs = [*model.pairs, (s_k.copy(), y_k.copy())][-model.m:]
-    dense = _compact_bfgs(ss / ys, pairs)
-    if dense is None:
-        return model  # N singular in floating point: keep the previous operator
+    # lbfgs: fresh scalar base from the newest pair, then the buffer's updates;
+    # each term is an outer product divided by a scalar, so B stays exactly symmetric
+    pairs = [*model.pairs, (s_k.copy(), y_k.copy())][-LBFGS_PAIRS:]
+    dense = (ss / ys) * np.eye(model.n)
+    for s, y in pairs:
+        bs = dense @ s
+        dense += np.outer(y, y) / (y @ s) - np.outer(bs, bs) / (s @ bs)
+    if not np.isfinite(dense).all():
+        return model  # the rebuild overflowed: keep the previous operator
     model.pairs, model.dense = pairs, dense
     _cap(model, _dense_norm(dense))
     return model
-
-
-def _compact_bfgs(sigma: float, pairs: list):
-    """The BFGS updates of sigma I by ``pairs``, oldest first, as a dense
-    symmetric matrix, or None when the middle matrix N is singular in
-    floating point.
-
-    B = sigma I - U N^{-1} U' with U = [sigma S, Y] and
-    N = [[sigma S'S, L], [L', -D]], where L is the strictly lower triangle
-    of S'Y and D its diagonal (Byrd, Nocedal & Schnabel, Thm 2.3).
-    """
-    k = len(pairs)
-    Ut = np.array([pair[j] for j in (0, 1) for pair in pairs])  # rows s_1..s_k, y_1..y_k
-    N = Ut @ Ut.T  # [[S'S, S'Y], [Y'S, Y'Y]]
-    d = N[:k, k:].diagonal().copy()
-    i = np.arange(k)
-    lower = i[:, None] > i
-    N[:k, :k] *= sigma
-    N[:k, k:] *= lower  # L
-    N[k:, :k] *= lower.T  # L'
-    N[k:, k:] = np.diag(-d)  # -D
-    Ut[:k] *= sigma  # the rows of U'
-    try:
-        B = Ut.T @ np.linalg.solve(N, -Ut)
-    except np.linalg.LinAlgError:
-        return None
-    B += B.T
-    B *= 0.5
-    B.flat[:: B.shape[0] + 1] += sigma
-    return B if np.isfinite(B).all() else None
 
 
 def _dense_norm(dense: np.ndarray) -> float:

@@ -27,15 +27,15 @@ _BERNOULLI = (1.0 / 6, -1.0 / 30, 1.0 / 42, -1.0 / 30,
               5.0 / 66, -691.0 / 2730, 7.0 / 6, -3617.0 / 510)
 
 
-def zeta(s: float, n_direct: int = 24) -> float:
+def zeta(s: float) -> float:
     """Riemann zeta for real s > 1 by direct series plus Euler-Maclaurin tail.
 
-    Accurate to well below 1e-12 relative for s >= 1.01 with the default
+    Accurate to well below 1e-12 relative for s >= 1.01 with its fixed
     24-term head.
     """
     if s <= 1.0:
         raise InvalidParameter(f"zeta implemented for s > 1 only, got {s}")
-    n = n_direct
+    n = 24
     head = float(np.sum(np.arange(1, n) ** (-s)))
     tail = n ** (1.0 - s) / (s - 1.0) + 0.5 * n ** (-s)
     poch = s

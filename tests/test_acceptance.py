@@ -215,7 +215,7 @@ def test_criterion_9_oracle_equivalence():
     worst_lbfgs = 0.0
     for trial in range(30):
         n = int(rng.integers(2, 7))
-        model = init_model("lbfgs", n, m=3)
+        model = init_model("lbfgs", n)
         pairs = []
         for _ in range(int(rng.integers(1, 6))):
             s = rng.standard_normal(n)

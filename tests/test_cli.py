@@ -104,3 +104,10 @@ class TestCheck:
         monkeypatch.setattr(bench, "theory_battery", lambda iters: [failing])
         assert main(["check", "--iters", "10"]) == 2
         assert "[FAIL] broken" in capsys.readouterr().out
+
+    def test_a_vacuous_check_says_so(self, capsys, monkeypatch):
+        vacuous = {"name": "bounds-empty", "violations": 0, "min_margin": float("inf"),
+                   "passed": False, "vacuous": True, "seconds": 0.0}
+        monkeypatch.setattr(bench, "theory_battery", lambda iters: [vacuous])
+        assert main(["check", "--iters", "10"]) == 2
+        assert "[FAIL] bounds-empty: vacuous, 0 violations" in capsys.readouterr().out

@@ -257,6 +257,18 @@ class TestSdba:
         assert rec.iters == 0
         assert rec.neval["value"] == 1 + 1 + ARMIJO_MAX_BACKTRACKS
 
+    def test_null_step_stalls_the_search(self):
+        # g = -x points uphill on f = x^2/2: the first trial to pass the Armijo
+        # test is alpha = 2^-53, below the rounding of x0 = 1, so x + s == x
+        p = Problem(name="uphill-mild", n=1, x0=np.array([1.0]),
+                    f=lambda x: float(0.5 * x @ x), g=lambda x: -x)
+        rec = sdba(p, variant_config("sdba", max_iter=10))
+        assert rec.status == "budget-exhausted"
+        assert rec.iters == 0
+        assert rec.counters["armijo_stalls"] == 1
+        np.testing.assert_array_equal(rec.x_final, p.x0)
+        assert rec.neval["value"] == 1 + 54
+
     def test_oracle_overflow_at_x0(self):
         p = Problem(name="explode", n=1, x0=np.array([800.0]),
                     f=lambda x: float(np.exp(x[0])), g=lambda x: np.array([np.exp(x[0])]))

@@ -6,7 +6,9 @@ to ``(status, iters, evals, sha256(x_final bytes))`` and compared with the
 values stored in ``golden_outcomes.json``.  A refactor that keeps this test
 green changed no iterate.
 
-To regenerate the stored values (only when an iterate is meant to change):
+To regenerate the stored values (only when an iterate is meant to change),
+printing one ``tag@level problem: moved fields`` line per stored row that
+changes:
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -41,6 +43,10 @@ def _key(tag: str, level: float) -> str:
     return f"{tag}@{level!r}"
 
 
+def moved_fields(got: list, pinned: list) -> list:
+    return [field for field, a, b in zip(FIELDS, got, pinned) if a != b]
+
+
 def compute_all() -> dict:
     problems = load_suite()
     return {_key(tag, level): {p.name: outcome(p, tag, level) for p in problems}
@@ -64,16 +70,21 @@ def test_outcomes_match_pinned(golden, suite, tag, level):
     assert sorted(pinned) == sorted(p.name for p in suite)
     diffs = {p.name: (got, pinned[p.name]) for p in suite
              if (got := outcome(p, tag, level)) != pinned[p.name]}
-    moved = {name: [field for field, a, b in zip(FIELDS, got, pin) if a != b]
-             for name, (got, pin) in diffs.items()}
+    moved = {name: moved_fields(got, pin) for name, (got, pin) in diffs.items()}
     assert not diffs, (f"{len(diffs)} outcomes differ; moved fields by problem: {moved}; "
                        f"(got, pinned): {diffs}")
 
 
 def write_golden(path: Path = GOLDEN_PATH) -> None:
-    """One line per (variant, level, problem) so that diffs stay readable."""
+    """One line per (variant, level, problem) so that diffs stay readable;
+    prints the moved fields of each stored row that changes."""
+    stored = json.loads(path.read_text()) if path.exists() else {}
     blocks = []
     for key, by_problem in sorted(compute_all().items()):
+        for name, out in sorted(by_problem.items()):
+            pinned = stored.get(key, {}).get(name)
+            if pinned is not None and pinned != out:
+                print(f"{key} {name}: {', '.join(moved_fields(out, pinned))}")
         rows = ",\n".join(f"  {json.dumps(name)}: {json.dumps(out)}"
                           for name, out in sorted(by_problem.items()))
         blocks.append(f" {json.dumps(key)}: {{\n{rows}\n }}")
