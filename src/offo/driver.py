@@ -9,6 +9,7 @@ descent used as the function-evaluating baseline.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import Optional, Union
 
@@ -110,7 +111,10 @@ class RunRecord:
 
 
 class _Trace:
-    """Column-wise trace accumulator (iterate rows + step rows)."""
+    """Column-wise trace accumulator (iterate rows + step rows).
+
+    The loop never changes ``x``, ``w``, the radii or ``s`` in place, so they
+    are kept as given; ``g`` is the oracle's output and is copied."""
 
     def __init__(self, keep, record_f):
         self.keep = keep
@@ -123,14 +127,14 @@ class _Trace:
         if self.record_f:
             self.fs.append(f)
         if self.keep:
-            self.xs.append(x.copy())
+            self.xs.append(x)
             self.gs.append(g.copy())
 
     def step(self, w, delta, s, qdec, bnorm):
         if self.keep:
-            self.ws.append(w.copy())
-            self.deltas.append(delta.copy())
-            self.ss.append(s.copy())
+            self.ws.append(w)
+            self.deltas.append(delta)
+            self.ss.append(s)
             self.qdecs.append(qdec)
             self.bnorms.append(bnorm)
 
@@ -164,20 +168,24 @@ def _run(problem: Problem, config: RunConfig, want: tuple, step, variant) -> Run
     steps = 0
     gnorm = np.nan
     fval = None
+    query, iterate = oracle._query, trace.iterate
+    eps, max_iter = config.eps, config.max_iter
 
     # one errstate per run: overflow surfaces as NonFiniteValue, never a warning
     with np.errstate(all="ignore"):
-        for k in range(config.max_iter + 1):
+        for k in range(max_iter + 1):
             try:
-                out = oracle._query(x, want)
+                out = query(x, want)
                 g = out["gradient"]
                 fval = out.get("value")
-                gnorm = euclidean_norm(g)
-                trace.iterate(x, g, gnorm, fval)
-                if gnorm <= config.eps:
+                # ||g||_2 by one dot, as np.linalg.norm does, unless g.g overflows
+                gg = g.dot(g)
+                gnorm = math.sqrt(gg) if gg < math.inf else euclidean_norm(g)
+                iterate(x, g, gnorm, fval)
+                if gnorm <= eps:
                     status = STATUS_CONVERGED
                     break
-                if k == config.max_iter:
+                if k == max_iter:
                     break
                 s = step(k, x, g, fval, oracle, counters, trace)
             except (NonFiniteValue, NonFiniteInput):
@@ -221,22 +229,24 @@ def astr1(problem: Problem, config: RunConfig) -> RunRecord:
     floor = strategy.floor
     state = init_scaling(strategy, n)
     model = init_model(config.model, n, config.kappaB)
+    # only the secant models read y = g - prev_g; the others are never given it
+    secant = model.kind in ("bb", "lbfgs")
     prev_g = prev_s = None
 
     def step(k, x, g, fval, oracle, counters, trace):
         nonlocal prev_g, prev_s
         w = update_scaling(state, g, k)
-        if not (w >= floor).all():
+        if not w.min() >= floor:  # w is finite: update_scaling raises otherwise
             counters["wfloor_violations"] += 1
         tr = make_region(config.norm, g, w)
-        update_model(model, prev_s, None if k == 0 else g - prev_g, x, oracle)
+        update_model(model, prev_s, g - prev_g if secant and k else None, x, oracle)
         cp = cauchy_point(g, model, tr)
         s = solve_tr_step(g, model, tr, config.tau, cauchy=cp)
 
         if config.norm == "inf":
-            feasible = bool((np.abs(s) <= tr.radii).all())
+            feasible = np.count_nonzero(np.abs(s) <= tr.radii) == s.size
         else:
-            feasible = float(np.linalg.norm(s)) <= tr.radius * (1.0 + 1e-12)
+            feasible = math.sqrt(s.dot(s)) <= tr.radius * (1.0 + 1e-12)
         if not feasible:
             counters["sbound_violations"] += 1
         q_s = model_value(g, model, s)

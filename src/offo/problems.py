@@ -117,9 +117,19 @@ class Problem:
 
 
 def _nonfinite(out: dict) -> Optional[str]:
-    """The first quantity of ``out`` holding a NaN or inf, else None."""
+    """The first quantity of ``out`` holding a NaN or inf, else None.
+
+    Runs under the caller's ``np.errstate``: a gradient is finite when g.g
+    is, and only a g.g that overflows or is NaN needs the elementwise test.
+    """
     for kind, val in out.items():
-        if not (math.isfinite(val) if kind == "value" else np.isfinite(val).all()):
+        if kind == "value":
+            finite = math.isfinite(val)
+        elif kind == "gradient":
+            finite = val.dot(val) < math.inf or np.isfinite(val).all()
+        else:
+            finite = np.isfinite(val).all()
+        if not finite:
             return kind
     return None
 
@@ -158,8 +168,9 @@ class NoisyProblem:
         self._state = self._bitgen.state  # no draws yet, so the buffer is empty
         self._counter = self._state["state"]["counter"]
 
-    def _draws(self, query: int, kind: str, size: int) -> np.ndarray:
-        # rewind the counter-based stream to the fresh (query, quantity) block
+    def _draws(self, query: int, kind: str, size=None):
+        """Standard normals of the fresh (query, quantity) block: ``size`` of
+        them, or one float when ``size`` is None (the same first draw)."""
         self._counter[0], self._counter[1] = query, self._KIND_INDEX[kind]
         self._bitgen.state = self._state
         return self._gen.standard_normal(size)
@@ -183,7 +194,7 @@ class NoisyProblem:
             noisy = {}
             for kind, val in out.items():
                 if kind == "value":
-                    xi = self._draws(query, kind, 1)[0]
+                    xi = self._draws(query, kind)
                 else:
                     xi = self._draws(query, kind, val.size).reshape(val.shape)
                 noisy[kind] = val * (1.0 + self.level * xi)
@@ -393,11 +404,12 @@ def _brownal():
         rn = np.prod(x) - 1.0
         out = np.full(n, 2.0 * r.sum())
         out[:-1] += 2.0 * r
-        # gradient of the product term, robust at zero coordinates
-        for j in range(n):
-            pj = np.prod(np.delete(x, j))
-            out[j] += 2.0 * rn * pj
+        # gradient of the product term, robust at zero coordinates: row j of
+        # x[others] is x without x_j
+        out += 2.0 * rn * np.prod(x[others], axis=1)
         return out
+
+    others = np.array([[i for i in range(n) if i != j] for j in range(n)])
 
     return Problem("brownal", n, np.full(n, 0.5), f, g, None, 0.0, "literature")
 
@@ -429,30 +441,37 @@ def _broyden3d():
 def _chebyqad():
     n = 10
 
-    def _cheb(x):
-        # shifted Chebyshev polynomials T~_1..T~_n and derivatives at each x_i
+    def _cheb(x, slopes):
+        """Rows j = 0..n-1 hold the shifted Chebyshev polynomial T~_{j+1} at
+        each x_i and, with ``slopes``, its derivative (else None)."""
         z = 2.0 * x - 1.0
-        tprev, t = np.ones_like(x), z
-        dprev, d = np.zeros_like(x), np.full_like(x, 2.0)
-        tvals, dvals = [t.copy()], [d.copy()]
-        for _ in range(1, n):
-            tnext = 2.0 * z * t - tprev
-            dnext = 4.0 * t + 2.0 * z * d - dprev
-            tprev, t, dprev, d = t, tnext, d, dnext
-            tvals.append(t.copy())
-            dvals.append(d.copy())
-        return np.array(tvals), np.array(dvals)
+        z2 = 2.0 * z
+        tv = np.empty((n, n))
+        tv[0] = z
+        tprev = np.ones_like(x)
+        for j in range(1, n):
+            tv[j] = z2 * tv[j - 1] - tprev
+            tprev = tv[j - 1]
+        if not slopes:
+            return tv, None
+        dv = np.empty((n, n))
+        dv[0] = 2.0
+        dprev = np.zeros_like(x)
+        for j in range(1, n):
+            dv[j] = 4.0 * tv[j - 1] + z2 * dv[j - 1] - dprev
+            dprev = dv[j - 1]
+        return tv, dv
 
     integrals = np.array([0.0 if j % 2 == 1 else -1.0 / (j * j - 1.0)
                           for j in range(1, n + 1)])
 
     def f(x):
-        tv, _ = _cheb(x)
+        tv, _ = _cheb(x, slopes=False)
         r = tv.mean(axis=1) - integrals
         return float(r @ r)
 
     def g(x):
-        tv, dv = _cheb(x)
+        tv, dv = _cheb(x, slopes=True)
         r = tv.mean(axis=1) - integrals
         return (2.0 / n) * (r @ dv)
 
@@ -623,15 +642,18 @@ def _integreq():
         r = residuals(x)
         return float(r @ r)
 
+    # hstep times the kernel weight of t_j in residual i
+    hw = hstep * np.where(
+        np.arange(n)[:, None] >= np.arange(n)[None, :],
+        (1.0 - t)[:, None] * t[None, :],
+        t[:, None] * (1.0 - t)[None, :],
+    )
+    eye = np.eye(n)
+
     def g(x):
         r = residuals(x)
         du = 3.0 * (x + t + 1.0) ** 2
-        w = np.where(
-            np.arange(n)[:, None] >= np.arange(n)[None, :],
-            (1.0 - t)[:, None] * t[None, :],
-            t[:, None] * (1.0 - t)[None, :],
-        )
-        jac = np.eye(n) + hstep * w * du[None, :] / 2.0
+        jac = eye + hw * du[None, :] / 2.0
         return 2.0 * jac.T @ r
 
     x0 = t * (t - 1.0)

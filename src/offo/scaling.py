@@ -143,7 +143,7 @@ def update_scaling(state: ScalingState, g_k: np.ndarray, k: int) -> np.ndarray:
         acc = (strat.beta2 * acc if kind == "ewma-comp" else acc) + g_k * g_k
         w = (strat.varsigma + acc) ** strat.mu
     elif kind in ("adagrad-agg", "ewma-agg"):
-        agg = (strat.beta2 * agg if kind == "ewma-agg" else agg) + float(g_k @ g_k)
+        agg = (strat.beta2 * agg if kind == "ewma-agg" else agg) + float(g_k.dot(g_k))
         w = np.full(state.n, (strat.varsigma + agg) ** strat.mu)
     elif kind == "maxg-comp":
         acc = np.maximum(acc, np.abs(g_k))
@@ -151,7 +151,7 @@ def update_scaling(state: ScalingState, g_k: np.ndarray, k: int) -> np.ndarray:
     else:  # maxg-agg; the norm comes first so that max() keeps a NaN
         agg = max(euclidean_norm(g_k), agg)
         w = np.full(state.n, (k + 1) ** strat.nu * agg)
-    if not np.isfinite(w).all():
+    if np.count_nonzero(np.isfinite(w)) != w.size:
         if not np.isfinite(g_k).all():
             raise NonFiniteInput("gradient contains NaN or inf")
         raise NonFiniteValue(f"{kind} accumulator overflowed at iteration {k}")

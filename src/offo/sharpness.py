@@ -173,21 +173,17 @@ def _replay(kind, params, strategy, grads, f0, k_start, kappa_f) -> KnotSequence
     """Knots of the run that meets the prescribed gradients ``grads``: the
     step from knot j is s_j = |g_j| / w_j, with w_j from the driver's own
     scaling update, and the values follow f_{j+1} = f_j + g_j s_j."""
-    K = len(grads) - 1
     state = init_scaling(strategy, 1)
-    g = np.array(grads)
-    x = np.zeros(K + 1)
-    f = np.empty(K + 1)
-    s = np.empty(K)
-    f[0] = f0
+    x, f, s = [0.0], [float(f0)], []
     gk = np.empty(1)
-    for j in range(K):
-        gk[0] = g[j]
-        w = update_scaling(state, gk, j)[0]
-        s[j] = abs(g[j]) / w
-        x[j + 1] = x[j] + s[j]
-        f[j + 1] = f[j] + g[j] * s[j]
-    return KnotSequence(kind, params, k_start, x, f, g, s, kappa_f, strategy)
+    for j, gj in enumerate(grads[:-1]):
+        gk[0] = gj
+        sj = abs(gj) / update_scaling(state, gk, j).item()
+        s.append(sj)
+        x.append(x[j] + sj)
+        f.append(f[j] + gj * sj)
+    return KnotSequence(kind, params, k_start, np.array(x), np.array(f), np.array(grads),
+                        np.array(s), kappa_f, strategy)
 
 
 class Interpolant:

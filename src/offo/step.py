@@ -27,7 +27,7 @@ CG_ATOL = 1e-12
 CG_PRODUCTS_PER_DIM = 5
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TrustRegion:
     """Region geometry for one iteration."""
 
@@ -49,7 +49,7 @@ def make_region(norm: str, g: np.ndarray, w: np.ndarray) -> TrustRegion:
     return TrustRegion(norm, np.abs(g) / w)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CauchyData:
     """Scaled steepest-descent step sL, its model minimizer sQ = gamma*sL."""
 
@@ -61,8 +61,8 @@ class CauchyData:
 
 def model_value(g: np.ndarray, model: HessianModel, s: np.ndarray) -> float:
     """Quadratic model g's + 0.5 s'Bs at a step."""
-    if model.is_zero and np.shape(s) == (model.n,):
-        return float(g @ s)
+    if model.is_zero and s.shape == (model.n,):
+        return float(g.dot(s))
     return float(g @ s + 0.5 * (s @ apply_model(model, s)))
 
 
@@ -72,7 +72,7 @@ def cauchy_point(g: np.ndarray, model: HessianModel, tr: TrustRegion) -> CauchyD
     # sL_i = -sgn(g_i) Delta_i; sgn(0) = 0 and Delta_i = 0 there anyway.
     # For the two-norm ball this is -g/w, which sits exactly on the sphere.
     sL = -np.sign(g) * tr.radii
-    gsl = float(g @ sL)  # <= 0 by construction
+    gsl = float(g.dot(sL))  # <= 0 by construction
     # a NaN or inf g_i makes gsl NaN or -inf, also at a zero radius, where
     # NumPy warns of inf * 0 unless the caller holds an np.errstate
     if not math.isfinite(gsl) and not np.isfinite(g).all():
