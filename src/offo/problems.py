@@ -391,6 +391,8 @@ def _box3():
 @_register
 def _brownal():
     n = 10
+    # row j: the indices of x without x_j
+    others = np.array([[i for i in range(n) if i != j] for j in range(n)])
 
     def f(x):
         s = x.sum()
@@ -404,12 +406,9 @@ def _brownal():
         rn = np.prod(x) - 1.0
         out = np.full(n, 2.0 * r.sum())
         out[:-1] += 2.0 * r
-        # gradient of the product term, robust at zero coordinates: row j of
-        # x[others] is x without x_j
+        # gradient of the product term, robust at zero coordinates
         out += 2.0 * rn * np.prod(x[others], axis=1)
         return out
-
-    others = np.array([[i for i in range(n) if i != j] for j in range(n)])
 
     return Problem("brownal", n, np.full(n, 0.5), f, g, None, 0.0, "literature")
 
@@ -441,9 +440,8 @@ def _broyden3d():
 def _chebyqad():
     n = 10
 
-    def _cheb(x, slopes):
-        """Rows j = 0..n-1 hold the shifted Chebyshev polynomial T~_{j+1} at
-        each x_i and, with ``slopes``, its derivative (else None)."""
+    def _values(x):
+        """Row j holds the shifted Chebyshev polynomial T~_{j+1} at each x_i."""
         z = 2.0 * x - 1.0
         z2 = 2.0 * z
         tv = np.empty((n, n))
@@ -452,27 +450,26 @@ def _chebyqad():
         for j in range(1, n):
             tv[j] = z2 * tv[j - 1] - tprev
             tprev = tv[j - 1]
-        if not slopes:
-            return tv, None
+        return tv
+
+    integrals = np.array([0.0 if j % 2 == 1 else -1.0 / (j * j - 1.0)
+                          for j in range(1, n + 1)])
+
+    def f(x):
+        r = _values(x).mean(axis=1) - integrals
+        return float(r @ r)
+
+    def g(x):
+        tv = _values(x)
+        r = tv.mean(axis=1) - integrals
+        # row j: the derivative of T~_{j+1} at each x_i
+        z2 = 2.0 * (2.0 * x - 1.0)
         dv = np.empty((n, n))
         dv[0] = 2.0
         dprev = np.zeros_like(x)
         for j in range(1, n):
             dv[j] = 4.0 * tv[j - 1] + z2 * dv[j - 1] - dprev
             dprev = dv[j - 1]
-        return tv, dv
-
-    integrals = np.array([0.0 if j % 2 == 1 else -1.0 / (j * j - 1.0)
-                          for j in range(1, n + 1)])
-
-    def f(x):
-        tv, _ = _cheb(x, slopes=False)
-        r = tv.mean(axis=1) - integrals
-        return float(r @ r)
-
-    def g(x):
-        tv, dv = _cheb(x, slopes=True)
-        r = tv.mean(axis=1) - integrals
         return (2.0 / n) * (r @ dv)
 
     x0 = np.arange(1.0, n + 1.0) / (n + 1.0)

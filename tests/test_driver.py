@@ -176,6 +176,16 @@ class TestOverflow:
         assert rec.status == "overflow-failure"
         assert rec.iters == 1
 
+    def test_gradient_norm_is_numpys_wherever_the_dot_product_is_finite(self):
+        # n * max|g_i|^2 >= DBL_MAX / 2, where euclidean_norm rescales, while
+        # g.g = 1.62e308 is still finite
+        p = Problem(name="bigflat", n=2, x0=np.zeros(2), f=lambda x: 0.0,
+                    g=lambda x: np.array([0.9e154, -0.9e154]))
+        rec = astr1(p, RunConfig(scaling="adagi1", max_iter=2, keep_trace=True))
+        assert rec.status == "budget-exhausted" and rec.iters == 2
+        for g, gnorm in zip(rec.trace["g"], rec.trace["gnorm"]):
+            assert gnorm == float(np.linalg.norm(g))
+
     def test_maxg_agg_steps_where_the_gradient_norm_is_finite(self):
         # ||(exp(400), 0)||_2 is finite although its square is not
         p = Problem(

@@ -1,14 +1,18 @@
-"""Pinned outcomes of every variant on every suite problem.
+"""Pinned outcomes of every variant on every suite problem, and of the long
+runs behind the theory checks.
 
 For each of the 10 variants and 29 problems, at noise 0 and at one noisy
 replication (relative level 0.25, fixed seed), a 50-iteration run is reduced
 to ``(status, iters, evals, sha256(x_final bytes))`` and compared with the
-values stored in ``golden_outcomes.json``.  A refactor that keeps this test
-green changed no iterate.
+values stored in ``golden_outcomes.json``.  ``golden_theory.json`` pins the
+sha256 of the sharp1 (1e4 steps) and sharp2 (5e4 steps) knot arrays, of
+the sharp1 retrace's trace ``x`` and ``g``, and of one 2,000-iteration
+``record_f`` run per scaling tag on ``quadratic_testbed(5)``.  A refactor
+that keeps these tests green changed no iterate.
 
 To regenerate the stored values (only when an iterate is meant to change),
-printing one ``tag@level problem: moved fields`` line per stored row that
-changes:
+printing one ``tag@level problem: moved fields`` or ``row: moved fields``
+line per stored row that changes:
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -20,16 +24,25 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from offo.driver import VARIANTS, run_variant
+from offo.bench import quadratic_testbed
+from offo.driver import VARIANTS, RunConfig, astr1, run_variant
 from offo.problems import load_suite
+from offo.scaling import VARIANT_TAGS
+from offo.sharpness import build_counterexample, interpolant_problem
 
 GOLDEN_PATH = Path(__file__).with_name("golden_outcomes.json")
+THEORY_PATH = Path(__file__).with_name("golden_theory.json")
 ALL_TAGS = [*VARIANTS, "sdba"]
 LEVELS = (0.0, 0.25)
 NOISE_SEED = 20220303
 MAX_ITER = 50
 #: the fields of a pinned outcome, in order
 FIELDS = ("status", "iters", "evals", "x")
+#: the knot sequences pinned, as the theory-retrace benchmark builds them
+SHARP = (("sharp1", {"mu": 0.5, "eta": 0.01, "varsigma": 0.01}, 10_000),
+         ("sharp2", {"nu": 1.0 / 9.0, "omega": 4.0 / 9.0 + 0.01}, 50_000))
+#: iterations of the pinned record_f run of each scaling tag
+RECORD_F_ITERS = 2000
 
 
 def outcome(problem, tag: str, level: float) -> list:
@@ -51,6 +64,39 @@ def compute_all() -> dict:
     problems = load_suite()
     return {_key(tag, level): {p.name: outcome(p, tag, level) for p in problems}
             for tag in ALL_TAGS for level in LEVELS}
+
+
+def _sha256(*arrays) -> str:
+    """sha256 over the little-endian float64 bytes of the arrays, in order."""
+    h = hashlib.sha256()
+    for a in arrays:
+        h.update(np.ascontiguousarray(a, dtype="<f8").tobytes())
+    return h.hexdigest()
+
+
+def theory_rows() -> dict:
+    """Row name -> pinned fields of each long run behind the theory checks."""
+    rows = {}
+    for kind, params, steps in SHARP:
+        knots = build_counterexample(kind, params, steps)
+        rows[f"knots {kind}"] = {"sha256": _sha256(knots.x, knots.f, knots.g, knots.s)}
+        if kind == "sharp1":
+            config = RunConfig(scaling=knots.strategy, model="none", norm="inf", eps=1e-30,
+                               max_iter=steps, keep_trace=True)
+            trace = astr1(interpolant_problem(knots), config).trace
+            rows[f"retrace {kind}"] = {"x": _sha256(trace["x"]), "g": _sha256(trace["g"])}
+    for tag in VARIANT_TAGS:
+        record = run_variant(quadratic_testbed(5), tag, eps=1e-30, max_iter=RECORD_F_ITERS,
+                             record_f=True)
+        rows[f"record_f {tag}"] = {"status": record.status, "iters": record.iters,
+                                   "f": _sha256(record.trace["f"]),
+                                   "gnorm": _sha256(record.trace["gnorm"]),
+                                   "x": _sha256(record.x_final)}
+    return rows
+
+
+def moved_keys(got: dict, pinned: dict) -> list:
+    return [key for key in {**pinned, **got} if got.get(key) != pinned.get(key)]
 
 
 @pytest.fixture(scope="module")
@@ -75,6 +121,14 @@ def test_outcomes_match_pinned(golden, suite, tag, level):
                        f"(got, pinned): {diffs}")
 
 
+def test_theory_path_matches_pinned():
+    pinned = json.loads(THEORY_PATH.read_text())
+    got = theory_rows()
+    assert sorted(got) == sorted(pinned)
+    moved = {row: keys for row in got if (keys := moved_keys(got[row], pinned[row]))}
+    assert not moved, f"moved fields by row: {moved}; got {got}"
+
+
 def write_golden(path: Path = GOLDEN_PATH) -> None:
     """One line per (variant, level, problem) so that diffs stay readable;
     prints the moved fields of each stored row that changes."""
@@ -91,6 +145,19 @@ def write_golden(path: Path = GOLDEN_PATH) -> None:
     path.write_text("{\n" + ",\n".join(blocks) + "\n}\n")
 
 
+def write_theory(path: Path = THEORY_PATH) -> None:
+    """One line per row; prints the moved fields of each stored row that changes."""
+    stored = json.loads(path.read_text()) if path.exists() else {}
+    rows = theory_rows()
+    for name, row in rows.items():
+        if name in stored and stored[name] != row:
+            print(f"{name}: {', '.join(moved_keys(row, stored[name]))}")
+    lines = ",\n".join(f" {json.dumps(name)}: {json.dumps(row)}" for name, row in rows.items())
+    path.write_text("{\n" + lines + "\n}\n")
+
+
 if __name__ == "__main__":
     write_golden()
     print(f"wrote {GOLDEN_PATH}")
+    write_theory()
+    print(f"wrote {THEORY_PATH}")

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -173,14 +175,17 @@ class TestNoise:
 
     @pytest.mark.parametrize("seed", [0, 321, 2**64 + 5])
     def test_stream_is_a_fresh_philox_per_query_and_quantity(self, seed):
+        """``size=None`` (the value's one draw) is the first draw of the
+        block, as a float."""
         noisy = NoisyProblem(diag_quadratic([1.0], [1.0]), 0.1, seed)
         key = [seed % 2**64, seed >> 64]
         for query in (0, 7, 1000, 2**40):
             for index, kind in enumerate(("value", "gradient", "hessian")):
-                for size in (1, 2, 9):
+                for size in (None, 1, 2, 9):
                     philox = np.random.Philox(key=key, counter=[query, index, 0, 0])
                     expect = np.random.Generator(philox).standard_normal(size)
                     np.testing.assert_array_equal(noisy._draws(query, kind, size), expect)
+                assert noisy._draws(query, kind) == noisy._draws(query, kind, 1)[0]
 
     def test_noise_changes_with_seed_and_query(self):
         (p,) = load_suite(["beale"])
@@ -269,6 +274,118 @@ class TestNoisyEntryPoint:
         with pytest.raises(NonFiniteValue):
             oracle.evaluate(np.array([200.0, -200.0]), ("value", "gradient"))
         assert oracle.counts == {"value": 2, "gradient": 2, "hessian": 0, "fd_gradient": 0}
+
+
+def _constant_gradient(grad) -> Problem:
+    grad = np.array(grad)
+    return Problem("constgrad", grad.size, np.zeros(grad.size), lambda x: 0.0,
+                   lambda x: grad.copy())
+
+
+class TestGradientFiniteness:
+    """The oracle takes a gradient as finite when g.g is, and otherwise tests
+    it component by component; g.g overflows for (1e200, -1e200)."""
+
+    @pytest.mark.parametrize("level", [0.0, 0.1])
+    def test_overflowing_dot_product_passes(self, level):
+        oracle = NoisyProblem(_constant_gradient([1e200, -1e200]), level, 3)
+        with np.errstate(all="ignore"):
+            g = oracle._query(np.zeros(2), ("gradient",))["gradient"]
+            assert np.isfinite(g).all()
+            assert np.isfinite(oracle.base._query(np.zeros(2), ("gradient",))["gradient"]).all()
+        assert oracle.counts["gradient"] == 1 and oracle._query_index == 1
+
+    @pytest.mark.parametrize("level", [0.0, 0.1])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nan_or_inf_raises(self, level, bad):
+        """Counted, but the query index is not used up: the base output is
+        not finite."""
+        oracle = NoisyProblem(_constant_gradient([1e200, bad]), level, 3)
+        with np.errstate(all="ignore"), pytest.raises(NonFiniteValue):
+            oracle._query(np.zeros(2), ("gradient",))
+        assert oracle.counts["gradient"] == 1 and oracle._query_index == 0
+
+    @pytest.mark.parametrize("level", [None, 0.0, 0.1])
+    def test_evaluate_leaks_no_warning(self, level):
+        base = _constant_gradient([1e200, -1e200])
+        oracle = base if level is None else NoisyProblem(base, level, 3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = oracle.evaluate(np.zeros(2), ("value", "gradient"))
+        assert np.isfinite(out["gradient"]).all()
+
+
+# The kernels as first written, one loop or list per step: the reference
+# that the vectorised brownal, chebyqad and integreq oracles equal bit for bit.
+
+def _brownal_reference(x):
+    n = x.size
+    s = x.sum()
+    r = x[:-1] + s - (n + 1.0)
+    rn = np.prod(x) - 1.0
+    out = np.full(n, 2.0 * r.sum())
+    out[:-1] += 2.0 * r
+    for j in range(n):
+        pj = np.prod(np.delete(x, j))
+        out[j] += 2.0 * rn * pj
+    return float(r @ r + rn * rn), out
+
+
+def _chebyqad_reference(x):
+    n = x.size
+    z = 2.0 * x - 1.0
+    tprev, t = np.ones_like(x), z
+    dprev, d = np.zeros_like(x), np.full_like(x, 2.0)
+    tvals, dvals = [t.copy()], [d.copy()]
+    for _ in range(1, n):
+        tnext = 2.0 * z * t - tprev
+        dnext = 4.0 * t + 2.0 * z * d - dprev
+        tprev, t, dprev, d = t, tnext, d, dnext
+        tvals.append(t.copy())
+        dvals.append(d.copy())
+    tv, dv = np.array(tvals), np.array(dvals)
+    integrals = np.array([0.0 if j % 2 == 1 else -1.0 / (j * j - 1.0) for j in range(1, n + 1)])
+    r = tv.mean(axis=1) - integrals
+    return float(r @ r), (2.0 / n) * (r @ dv)
+
+
+def _integreq_reference(x):
+    n = x.size
+    hstep = 1.0 / (n + 1.0)
+    t = hstep * np.arange(1.0, n + 1.0)
+    u = (x + t + 1.0) ** 3
+    lower = np.cumsum(t * u)
+    upper = np.cumsum(((1.0 - t) * u)[::-1])[::-1]
+    upper_strict = upper - (1.0 - t) * u
+    r = x + hstep * ((1.0 - t) * lower + t * upper_strict) / 2.0
+    du = 3.0 * (x + t + 1.0) ** 2
+    w = np.where(
+        np.arange(n)[:, None] >= np.arange(n)[None, :],
+        (1.0 - t)[:, None] * t[None, :],
+        t[:, None] * (1.0 - t)[None, :],
+    )
+    jac = np.eye(n) + hstep * w * du[None, :] / 2.0
+    return float(r @ r), 2.0 * jac.T @ r
+
+
+KERNEL_REFERENCES = {"brownal": _brownal_reference, "chebyqad": _chebyqad_reference,
+                     "integreq": _integreq_reference}
+
+
+@pytest.mark.parametrize("name", sorted(KERNEL_REFERENCES))
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_kernels_equal_the_loop_reference(name, data):
+    """f and g bit for bit at points around x0, with up to two coordinates
+    exactly +0 or -0; the offsets are normal draws, so products round."""
+    (p,) = load_suite([name])
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    x = p.x0 + data.draw(st.sampled_from([1e-3, 0.1, 1.0])) * rng.standard_normal(p.n)
+    for i in data.draw(st.sets(st.integers(0, p.n - 1), max_size=2)):
+        x[i] = data.draw(st.sampled_from([0.0, -0.0]))
+    f_ref, g_ref = KERNEL_REFERENCES[name](x)
+    assert np.float64(p.f(x)).tobytes() == np.float64(f_ref).tobytes()
+    assert p.g(x).tobytes() == g_ref.tobytes()
 
 
 def test_fd_hessian_is_symmetric():

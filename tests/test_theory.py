@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from offo.bench import (
     TheoryConstants,
@@ -46,6 +48,60 @@ class TestSeriesLemma:
         out = series_suite(n_sequences=100, seed=5)
         assert out["violations"] == 0
         assert out["worst_margin"] >= -1e-12
+
+    @pytest.mark.parametrize("seed", [2024, 1])
+    def test_suite_pinned(self, seed):
+        assert series_suite(seed=seed) == {"violations": 0, "worst_margin": 0.0, "checks": 10000}
+
+    @pytest.mark.parametrize("seed, rtol", [(2024, 1e-12), (1, 1e-12), (5, -0.5), (9, -2.0)])
+    def test_suite_equals_the_rowwise_reference(self, seed, rtol):
+        """A negative ``rtol`` turns most margins into violations, so the
+        counts compared are not all zero; 150 rows span two blocks."""
+        got = series_suite(n_sequences=150, seed=seed, rtol=rtol)
+        assert got == _series_suite_rowwise(150, seed, 200, rtol)
+        if rtol < 0:
+            assert got["violations"] > 0
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_padded_stack_equals_rowwise_calls(self, data):
+        """Each row of a zero-padded 2-D stack gets, bit for bit, the margins
+        of its own sequence checked alone."""
+        lengths = data.draw(st.lists(st.integers(1, 40), min_size=1, max_size=6))
+        stack = np.zeros((len(lengths), max(lengths) + data.draw(st.integers(0, 5))))
+        terms = st.one_of(st.just(0.0), st.floats(1e-6, 1e3))
+        seqs = []
+        for row, length in zip(stack, lengths):
+            row[:length] = data.draw(st.lists(terms, min_size=length, max_size=length))
+            seqs.append(row[:length].copy())
+        for xi in (0.01, 1.0):
+            for alpha in (0.3, 1.0, 1.7):
+                forms = [series_bound_margins]
+                if alpha != 1.0:
+                    forms.append(series_corollary_margins)
+                for fn in forms:
+                    for row, a in zip(fn(stack, xi, alpha), seqs):
+                        assert row[:a.size].tobytes() == fn(a, xi, alpha).tobytes()
+
+
+def _series_suite_rowwise(n_sequences, seed, max_len, rtol):
+    """``series_suite`` as one loop over the sequences, each checked alone."""
+    rng = np.random.default_rng(seed)
+    violations, worst = 0, np.inf
+    for _ in range(n_sequences):
+        length = int(rng.integers(1, max_len + 1))
+        a = rng.exponential(scale=rng.uniform(0.1, 10.0), size=length)
+        if rng.uniform() < 0.1:
+            a[rng.uniform(size=length) < 0.3] = 0.0
+        for xi in (0.01, 1.0):
+            for alpha, fn in ((0.3, series_bound_margins), (1.7, series_bound_margins),
+                              (1.0, series_bound_margins), (0.3, series_corollary_margins),
+                              (1.7, series_corollary_margins)):
+                margins = fn(a, xi, alpha)
+                rel = margins / np.maximum(np.abs(margins), 1.0)
+                worst = min(worst, float(np.min(rel)))
+                violations += int(np.sum(rel < -rtol))
+    return {"violations": violations, "worst_margin": worst, "checks": 10 * n_sequences}
 
 
 def _testbed_run(mu=0.5, kind="adagrad-comp", nu=0.1, varsigma=0.01, tau=0.1,
