@@ -18,7 +18,6 @@ from .problems import (
     Problem,
     diag_quadratic,
     load_suite,
-    registry_manifest,
     suite_names,
 )
 from .scaling import ScalingState, ScalingStrategy, init_scaling, update_scaling
@@ -42,7 +41,7 @@ __all__ = [
     "astr1", "build_counterexample", "cauchy_point", "constants_from_run",
     "diag_quadratic", "fdecrease_margins", "init_model", "init_scaling",
     "interpolant_problem", "lambert_wm1", "load_suite", "make_region",
-    "quadratic_testbed", "registry_manifest", "run_matrix", "run_variant", "sdba",
+    "quadratic_testbed", "run_matrix", "run_variant", "sdba",
     "series_suite", "solve_tr_step", "success", "suite_names", "theory_check",
     "update_model", "update_scaling", "variant_config", "verify_sharpness", "zeta",
 ]

@@ -207,12 +207,6 @@ def profile_area(ratios: np.ndarray, n_instances: int) -> float:
     return area / PROFILE_TMAX
 
 
-def profile_curve(ratios: np.ndarray, n_instances: int, ts: np.ndarray) -> np.ndarray:
-    """Fraction of instances solved within ratio t, for each t."""
-    finite = np.sort(ratios[np.isfinite(ratios)])
-    return np.searchsorted(finite, ts, side="right") / max(n_instances, 1)
-
-
 def aggregate(results: BenchResults) -> dict:
     """Performance profiles, pi and rho per (variant, noise level)."""
     if not results.cells:
@@ -387,7 +381,6 @@ class TheoryConstants:
     Gamma0: float
     nu: Optional[float] = None  # iteration-power regime only
     kappa_w: Optional[float] = None
-    theta: Optional[float] = None
     varsigma_min: Optional[float] = None
 
     def __post_init__(self):
@@ -472,31 +465,27 @@ class TheoryConstants:
             raise MissingConstants("nu, kappa_w and varsigma_min are required")
 
     @property
-    def theta_default(self) -> float:
+    def theta(self) -> float:
+        """The window's theta, the midpoint of (0, tau * varsigma_min)."""
         self._need_ming()
         return 0.5 * self.tau * self.varsigma_min
 
     @property
     def j_theta(self) -> float:
         self._need_ming()
-        theta = self.theta if self.theta is not None else self.theta_default
-        if not 0.0 < theta < self.tau * self.varsigma_min:
-            raise MissingConstants("theta must lie in (0, tau * varsigma_min)")
         base = self.kappaB * (self.kappaB + self.L) / (
-            self.varsigma_min * (self.tau * self.varsigma_min - theta))
+            self.varsigma_min * (self.tau * self.varsigma_min - self.theta))
         return base ** (1.0 / self.nu)
 
     @property
     def kappa_diamond(self) -> float:
         self._need_ming()
-        theta = self.theta if self.theta is not None else self.theta_default
-        return (2.0 * self.kappa_w * self.kappaB / theta) * (
+        return (2.0 * self.kappa_w * self.kappaB / self.theta) * (
             self.Gamma0 + self.n * (self.j_theta + 1.0) * self.kappa_g**2
             * (self.kappaB + self.L) / (2.0 * self.varsigma_min**2))
 
 
-def constants_from_run(record: RunRecord, L: float, Gamma0: float,
-                       theta: Optional[float] = None) -> TheoryConstants:
+def constants_from_run(record: RunRecord, L: float, Gamma0: float) -> TheoryConstants:
     """Assemble bound constants for a kept-trace run on a known problem.
 
     ``kappa_g`` is taken as the largest infinity-norm gradient observed (at
@@ -526,7 +515,6 @@ def constants_from_run(record: RunRecord, L: float, Gamma0: float,
         Gamma0=Gamma0,
         nu=strat.nu if is_maxg else None,
         kappa_w=kappa_g if is_maxg else None,
-        theta=theta,
         varsigma_min=strat.floor if is_maxg else None,
     )
 

@@ -88,7 +88,7 @@ def _add_sharpness(sub):
     p.add_argument("--mu", type=float, default=0.5)
     p.add_argument("--eta", type=float, default=0.01)
     p.add_argument("--varsigma", type=float, default=0.01)
-    p.add_argument("--nu", type=float, default=1.0 / 9.0)
+    p.add_argument("--nu", type=float, default=1.0 / 9.0, help="sharp2 only, in (0,1)")
     p.add_argument("--omega", type=float, default=4.0 / 9.0 + 0.01)
     p.add_argument("--iters", type=int, default=10000)
     p.add_argument("--grid", type=int, default=None, help="grid points for the sampled CSV")

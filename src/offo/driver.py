@@ -30,6 +30,9 @@ ARMIJO_C = 1e-4
 ARMIJO_FACTOR = 0.5
 ARMIJO_MAX_BACKTRACKS = 60
 
+#: a JSON run record keeps every ceil(len / TRACE_POINTS)-th trace row and the last
+TRACE_POINTS = 1000
+
 #: variant tag -> (scaling tag, model kind, trust-region norm)
 VARIANTS = {
     "adag1": ("adag1", "none", "two"),
@@ -56,7 +59,6 @@ class RunConfig:
     max_iter: int = 100000
     noise_level: float = 0.0
     noise_seed: int = 0
-    kappaB: float = 1e6
     record_f: bool = False
     keep_trace: bool = False
     variant: Optional[str] = None
@@ -78,8 +80,11 @@ class RunConfig:
 
 def variant_config(tag: str, **overrides) -> RunConfig:
     """Run configuration matching one of the named algorithm variants;
-    ``overrides`` may also replace the variant's ``model`` or ``norm``."""
+    ``overrides`` may also replace the variant's ``model`` or ``norm``, except
+    for ``sdba``, which uses neither."""
     if tag == "sdba":
+        if {"model", "norm"} & set(overrides):
+            raise InvalidParameter("sdba has no model or norm to override")
         return RunConfig(variant="sdba", **overrides)
     if tag not in VARIANTS:
         raise InvalidParameter(f"unknown variant tag {tag!r}")
@@ -228,7 +233,7 @@ def astr1(problem: Problem, config: RunConfig) -> RunRecord:
     strategy = config.strategy
     floor = strategy.floor
     state = init_scaling(strategy, n)
-    model = init_model(config.model, n, config.kappaB)
+    model = init_model(config.model, n)
     # only the secant models read y = g - prev_g; the others are never given it
     secant = model.kind in ("bb", "lbfgs")
     prev_g = prev_s = None
@@ -255,7 +260,7 @@ def astr1(problem: Problem, config: RunConfig) -> RunRecord:
             counters["gcp_violations"] += 1
 
         if config.keep_trace:
-            trace.step(w, tr.radii, s, cp.qdec, model.norm_bound())
+            trace.step(w, tr.radii, s, cp.qdec, model.bnorm)
         prev_g, prev_s = g, s
         return s
 
@@ -327,7 +332,7 @@ def fdecrease_margins(record: RunRecord, L: float) -> np.ndarray:
     return lhs - rhs
 
 
-def record_to_json(record: RunRecord, max_trace_points: Optional[int] = 1000) -> dict:
+def record_to_json(record: RunRecord) -> dict:
     """JSON-serialisable summary of a run; the trace is downsampled if long."""
     out = {
         "problem": record.problem,
@@ -342,9 +347,9 @@ def record_to_json(record: RunRecord, max_trace_points: Optional[int] = 1000) ->
         "neval": dict(record.neval),
     }
     tr = record.trace
-    if tr is not None and max_trace_points:
+    if tr is not None:
         gn = tr["gnorm"]
-        stride = max(1, int(np.ceil(len(gn) / max_trace_points)))
+        stride = max(1, int(np.ceil(len(gn) / TRACE_POINTS)))
         idx = np.arange(0, len(gn), stride)
         if len(gn) and idx[-1] != len(gn) - 1:
             idx = np.append(idx, len(gn) - 1)
@@ -355,6 +360,6 @@ def record_to_json(record: RunRecord, max_trace_points: Optional[int] = 1000) ->
     return out
 
 
-def save_record(record: RunRecord, path: str, max_trace_points: int = 1000) -> None:
+def save_record(record: RunRecord, path: str) -> None:
     with open(path, "w") as fh:
-        json.dump(record_to_json(record, max_trace_points), fh, indent=2)
+        json.dump(record_to_json(record), fh, indent=2)

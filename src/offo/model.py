@@ -63,10 +63,6 @@ class HessianModel:
             return self.sigma == 0.0
         return self.dense is None
 
-    def norm_bound(self) -> float:
-        """||B||_2 as computed by the last update (exact for every kind)."""
-        return self.bnorm
-
 
 def init_model(kind: str, n: int, kappaB: float = 1e6) -> HessianModel:
     """Fresh model of a model kind or a ``RunConfig.model`` name ("none" is

@@ -59,12 +59,6 @@ class Problem:
     def value(self, x) -> float:
         return self.evaluate(x, ("value",))["value"]
 
-    def gradient(self, x) -> np.ndarray:
-        return self.evaluate(x, ("gradient",))["gradient"]
-
-    def hessian(self, x) -> np.ndarray:
-        return self.evaluate(x, ("hessian",))["hessian"]
-
     def evaluate(self, x, want: Iterable[str]) -> dict:
         """Evaluate the requested oracles at ``x``.
 
@@ -1021,23 +1015,3 @@ def load_suite(names: Optional[Iterable[str]] = None) -> list:
             raise UnknownProblem(f"no problem named {name!r} in the registry")
         out.append(_REGISTRY[name])
     return out
-
-
-MANIFEST_VERSION = 1
-
-
-def registry_manifest() -> dict:
-    """JSON-serialisable manifest of the problem registry."""
-    return {
-        "version": MANIFEST_VERSION,
-        "problems": [
-            {
-                "name": p.name,
-                "n": p.n,
-                "x0": [float(v) for v in p.x0],
-                "f_ref": None if p.f_ref is None else float(p.f_ref),
-                "f_ref_provenance": p.f_ref_provenance,
-            }
-            for p in load_suite()
-        ],
-    }

@@ -120,7 +120,7 @@ def build_counterexample(kind: str, params: dict, K: int) -> KnotSequence:
     """Generate K steps of a slow-convergence sequence.
 
     ``sharp1`` params: mu in (0,1), eta in (0,1], varsigma > 0.
-    ``sharp2`` params: nu in (0,1], omega in (0.5*(1-nu), 1].
+    ``sharp2`` params: nu in (0,1), omega in (0.5*(1-nu), 1].
 
     The scaling factors are produced by the same accumulator code the driver
     uses, so a driver run over the Hermite interpolant retraces the knots
@@ -139,8 +139,6 @@ def _build_sharp1(params: dict, K: int) -> KnotSequence:
     mu = float(params.get("mu", 0.5))
     eta = float(params.get("eta", 0.01))
     varsigma = float(params.get("varsigma", 0.01))
-    if not 0.0 < mu < 1.0:
-        raise InvalidParameter(f"mu must lie in (0,1), got {mu}")
     if not 0.0 < eta <= 1.0:
         raise InvalidParameter(f"eta must lie in (0,1], got {eta}")
     strategy = ScalingStrategy(kind="adagrad-comp", mu=mu, varsigma=varsigma, vartheta=1.0)
@@ -154,8 +152,8 @@ def _build_sharp1(params: dict, K: int) -> KnotSequence:
 def _build_sharp2(params: dict, K: int) -> KnotSequence:
     nu = float(params.get("nu", 1.0 / 9.0))
     omega = float(params.get("omega", 4.0 / 9.0 + 0.01))
-    if not 0.0 < nu <= 1.0:
-        raise InvalidParameter(f"nu must lie in (0,1], got {nu}")
+    if not 0.0 < nu < 1.0:
+        raise InvalidParameter(f"nu must lie in (0,1), got {nu}")
     if not 0.5 * (1.0 - nu) < omega <= 1.0:
         raise InvalidParameter(
             f"omega must lie in (0.5*(1-nu), 1]; got omega={omega}, nu={nu} "

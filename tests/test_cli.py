@@ -1,7 +1,10 @@
 import json
 
+import pytest
+
 from offo import bench
 from offo.cli import main
+from offo.errors import InvalidParameter
 
 
 class TestSolve:
@@ -26,6 +29,11 @@ class TestSolve:
         rc = main(["solve", "--problem", "booth", "--variant", "adagi1",
                    "--model", "bb", "--norm", "2", "--max-iter", "2000"])
         assert rc == 0
+
+    def test_sdba_rejects_model_and_norm(self):
+        with pytest.raises(InvalidParameter, match="sdba"):
+            main(["solve", "--problem", "booth", "--variant", "sdba",
+                  "--model", "exact", "--norm", "2", "--max-iter", "50"])
 
     def test_noisy_run(self, capsys):
         rc = main(["solve", "--problem", "booth", "--variant", "sdba",
@@ -64,6 +72,11 @@ class TestSharpness:
                    "--grid", "50", "--shift-f0", "100"])
         assert rc == 0
         assert grid.exists()
+
+    def test_sharp2_rejects_nu_one_by_name(self, tmp_path):
+        with pytest.raises(InvalidParameter, match="nu must lie in"):
+            main(["sharpness", "--kind", "sharp2", "--nu", "1", "--iters", "10",
+                  "--out", str(tmp_path / "knots.csv")])
 
 
 class TestCheck:

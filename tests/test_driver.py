@@ -5,6 +5,7 @@ import pytest
 
 from offo.driver import (
     ARMIJO_MAX_BACKTRACKS,
+    TRACE_POINTS,
     RunConfig,
     astr1,
     euclidean_norm,
@@ -346,6 +347,13 @@ class TestConfig:
         cfg = variant_config("adagi1", model="bb", norm="two")
         assert cfg.model == "bb" and cfg.norm == "two" and cfg.variant == "adagi1"
 
+    @pytest.mark.parametrize("override", [{"model": "exact"}, {"norm": "two"},
+                                          {"model": "none", "norm": "inf"}])
+    def test_sdba_rejects_model_and_norm(self, override):
+        with pytest.raises(InvalidParameter, match="sdba"):
+            variant_config("sdba", **override)
+        assert variant_config("sdba", max_iter=5).variant == "sdba"
+
     def test_custom_strategy_accepted(self):
         strat = ScalingStrategy("adagrad-comp", mu=0.25)
         rec = astr1(quad1d(), RunConfig(scaling=strat, max_iter=20))
@@ -356,10 +364,14 @@ class TestRecordJson:
     def test_roundtrip_and_downsampling(self):
         import json
 
-        rec = run_variant(quad1d(), "adagi1", max_iter=50, keep_trace=True,
-                          record_f=True)
-        blob = json.loads(json.dumps(record_to_json(rec, max_trace_points=5)))
+        # a flat curvature makes the run longer than TRACE_POINTS
+        problem = diag_quadratic([1e-3], [10.0], name="q1d")
+        rec = run_variant(problem, "adagi1", max_iter=2000, keep_trace=True, record_f=True)
+        rows = len(rec.trace["gnorm"])
+        assert rows > TRACE_POINTS
+        blob = json.loads(json.dumps(record_to_json(rec)))
         assert blob["problem"] == "q1d"
         assert blob["status"] == "converged"
-        assert len(blob["trace"]["gnorm"]) <= 7
-        assert blob["trace"]["k"][-1] == len(rec.trace["gnorm"]) - 1
+        assert len(blob["trace"]["gnorm"]) <= TRACE_POINTS + 1
+        assert blob["trace"]["k"][-1] == rows - 1
+        assert blob["trace"]["f"] == rec.trace["f"][blob["trace"]["k"]].tolist()

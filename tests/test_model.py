@@ -47,7 +47,7 @@ class TestZeroAndErrors:
         m = init_model("zero", 2)
         update_model(m, np.ones(2), np.ones(2))
         np.testing.assert_array_equal(apply_model(m, np.array([5.0, -3.0])), [0.0, 0.0])
-        assert m.is_zero and m.norm_bound() == 0.0
+        assert m.is_zero and m.bnorm == 0.0
 
     def test_dimension_mismatch(self):
         m = init_model("zero", 2)
@@ -110,12 +110,12 @@ class TestLBFGS:
     def test_overflowing_rebuild_keeps_previous_operator(self):
         m = init_model("lbfgs", 2)
         update_model(m, np.array([1.0, 0.0]), np.array([2.0, 0.5]))
-        pairs, dense, scale, bnorm = list(m.pairs), m.dense.copy(), m.scale, m.norm_bound()
+        pairs, dense, scale, bnorm = list(m.pairs), m.dense.copy(), m.scale, m.bnorm
         with np.errstate(all="ignore"):  # y y' / y's = 1e600 in its corner
             update_model(m, np.array([0.0, 1.0]), np.array([1e300, 1.0]))
         assert len(m.pairs) == 1 and m.pairs[0] is pairs[0]
         np.testing.assert_array_equal(m.dense, dense)
-        assert (m.scale, m.norm_bound()) == (scale, bnorm)
+        assert (m.scale, m.bnorm) == (scale, bnorm)
 
     def test_eviction_beyond_three_pairs(self):
         m = init_model("lbfgs", 3)
@@ -188,7 +188,7 @@ def test_norm_cap_enforced(kind):
             y = 50.0 * s + rng.standard_normal(n)
             update_model(m, s, y)
     # the stored norm respects the cap after enforcement
-    assert m.norm_bound() <= 1.0 * (1.0 + 1e-8)
+    assert m.bnorm <= 1.0 * (1.0 + 1e-8)
     # and a direct dense check agrees
     dense = dense_of(m, n)
     assert np.linalg.norm(dense, 2) <= 1.0 * (1.0 + 1e-6)
@@ -206,7 +206,7 @@ def _hessian_problem(a):
        kappaB=st.floats(1.0, 100.0), k=st.integers(1, 6), level=st.sampled_from([0.1, 1.0]),
        seed=st.integers(0, 2**32 - 1))
 def test_cap_is_exact_on_random_models(kind, n, kappaB, k, level, seed):
-    """||B||_2 <= kappaB, and norm_bound() is ||B||_2, for random pair sets
+    """||B||_2 <= kappaB, and bnorm is ||B||_2, for random pair sets
     (lbfgs) and random symmetric Hessians (exact) around the cap."""
     rng = np.random.default_rng(seed)
     q, _ = np.linalg.qr(rng.standard_normal((n, n)))
@@ -225,4 +225,4 @@ def test_cap_is_exact_on_random_models(kind, n, kappaB, k, level, seed):
         np.testing.assert_array_equal(m.dense, m.dense.T)
     norm = float(np.linalg.norm(dense_of(m, n), 2))
     assert norm <= kappaB * (1.0 + 1e-12)
-    assert m.norm_bound() == pytest.approx(norm, rel=1e-12, abs=0.0)
+    assert m.bnorm == pytest.approx(norm, rel=1e-12, abs=0.0)

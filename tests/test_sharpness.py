@@ -137,6 +137,11 @@ class TestBuildSharp2:
         with pytest.raises(InvalidParameter):
             build_counterexample("sharp2", {"nu": 0.0, "omega": 0.5}, 10)
 
+    def test_nu_one_rejected_by_name(self):
+        # nu is also the scaling rule's mu, which must lie in (0,1)
+        with pytest.raises(InvalidParameter, match="nu must lie in"):
+            build_counterexample("sharp2", {"nu": 1.0, "omega": 0.5}, 10)
+
 
 class TestInterpolant:
     def test_knot_interpolation_exact(self):
