@@ -119,7 +119,7 @@ class KnotSequence:
 def build_counterexample(kind: str, params: dict, K: int) -> KnotSequence:
     """Generate K steps of a slow-convergence sequence.
 
-    ``sharp1`` params: mu in (0,1), eta in (0,1], varsigma > 0.
+    ``sharp1`` params: mu in (0,1), eta in (0,1], varsigma in (0,1].
     ``sharp2`` params: nu in (0,1), omega in (0.5*(1-nu), 1].
 
     The scaling factors are produced by the same accumulator code the driver
