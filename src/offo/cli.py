@@ -11,6 +11,7 @@ import sys
 from . import bench, driver, sharpness
 from .problems import load_suite
 from .driver import RunConfig, astr1, save_record
+from .errors import OffoError
 
 ALL_VARIANTS = [*driver.VARIANTS, "sdba"]
 
@@ -159,7 +160,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     handler = {"solve": _cmd_solve, "bench": _cmd_bench,
                "sharpness": _cmd_sharpness, "check": _cmd_check}[args.command]
-    return handler(args)
+    try:
+        return handler(args)
+    except OffoError as exc:
+        # a library error is a usage error: one line and status 2, as argparse reports
+        print(f"{parser.prog}: error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

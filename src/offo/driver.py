@@ -170,11 +170,11 @@ def _run(problem: Problem, config: RunConfig, want: tuple, step, variant) -> Run
 
     x = problem._checked(problem.x0, want)[0].copy()
     status = STATUS_BUDGET
-    steps = 0
     gnorm = np.nan
     fval = None
     query, iterate = oracle._query, trace.iterate
     eps, max_iter = config.eps, config.max_iter
+    sqrt, inf = math.sqrt, math.inf
 
     # one errstate per run: overflow surfaces as NonFiniteValue, never a warning
     with np.errstate(all="ignore"):
@@ -185,7 +185,7 @@ def _run(problem: Problem, config: RunConfig, want: tuple, step, variant) -> Run
                 fval = out.get("value")
                 # ||g||_2 by one dot, as np.linalg.norm does, unless g.g overflows
                 gg = g.dot(g)
-                gnorm = math.sqrt(gg) if gg < math.inf else euclidean_norm(g)
+                gnorm = sqrt(gg) if gg < inf else euclidean_norm(g)
                 iterate(x, g, gnorm, fval)
                 if gnorm <= eps:
                     status = STATUS_CONVERGED
@@ -201,14 +201,13 @@ def _run(problem: Problem, config: RunConfig, want: tuple, step, variant) -> Run
             if s is None:
                 break
             x = x + s
-            steps += 1
 
     return RunRecord(
         problem=problem.name,
         variant=variant,
         config=config,
         status=status,
-        iters=steps,
+        iters=k,  # every pass of the loop but the last took a step
         x_final=x,
         final_gnorm=gnorm,
         final_f=fval,
@@ -236,6 +235,8 @@ def astr1(problem: Problem, config: RunConfig) -> RunRecord:
     model = init_model(config.model, n)
     # only the secant models read y = g - prev_g; the others are never given it
     secant = model.kind in ("bb", "lbfgs")
+    norm, tau, keep_trace = config.norm, config.tau, config.keep_trace
+    inf_norm = norm == "inf"
     prev_g = prev_s = None
 
     def step(k, x, g, fval, oracle, counters, trace):
@@ -243,12 +244,12 @@ def astr1(problem: Problem, config: RunConfig) -> RunRecord:
         w = update_scaling(state, g, k)
         if not w.min() >= floor:  # w is finite: update_scaling raises otherwise
             counters["wfloor_violations"] += 1
-        tr = make_region(config.norm, g, w)
+        tr = make_region(norm, g, w)
         update_model(model, prev_s, g - prev_g if secant and k else None, x, oracle)
         cp = cauchy_point(g, model, tr)
-        s = solve_tr_step(g, model, tr, config.tau, cauchy=cp)
+        s = solve_tr_step(g, model, tr, tau, cauchy=cp)
 
-        if config.norm == "inf":
+        if inf_norm:
             feasible = np.count_nonzero(np.abs(s) <= tr.radii) == s.size
         else:
             feasible = math.sqrt(s.dot(s)) <= tr.radius * (1.0 + 1e-12)
@@ -256,10 +257,10 @@ def astr1(problem: Problem, config: RunConfig) -> RunRecord:
             counters["sbound_violations"] += 1
         q_s = model_value(g, model, s)
         q_c = q_s if s is cp.sQ else model_value(g, model, cp.sQ)
-        if q_s > config.tau * q_c:
+        if q_s > tau * q_c:
             counters["gcp_violations"] += 1
 
-        if config.keep_trace:
+        if keep_trace:
             trace.step(w, tr.radii, s, cp.qdec, model.bnorm)
         prev_g, prev_s = g, s
         return s

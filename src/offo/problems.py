@@ -99,8 +99,8 @@ class Problem:
         if "value" in want:
             out["value"] = float(self.f(x))
         if "gradient" in want:
-            out["gradient"] = np.asarray(self.g(x), dtype=float)
-            if out["gradient"].shape != (self.n,):
+            out["gradient"] = g = np.asarray(self.g(x), dtype=float)
+            if g.shape != (self.n,):
                 raise DimensionMismatch(f"{self.name}: gradient oracle returned wrong shape")
         if "hessian" in want:
             hess = self.h(x) if self.h is not None else fd_hessian(self.g, x)
@@ -178,25 +178,26 @@ class NoisyProblem:
     def _query(self, x: np.ndarray, want: tuple) -> dict:
         """Count, evaluate and perturb a validated query, under the caller's
         ``np.errstate``; a non-finite output raises :class:`NonFiniteValue`."""
+        counts, base, level = self.counts, self.base, self.level
         for kind in want:
-            self.counts[kind] += 1
-        if "hessian" in want and self.base.h is None:
-            self.counts["fd_gradient"] += 2 * self.base.n
-        out = noisy = self.base._outputs(x, want)
+            counts[kind] += 1
+        if base.h is None and "hessian" in want:
+            counts["fd_gradient"] += 2 * base.n
+        out = noisy = base._outputs(x, want)
         query = self._query_index
-        if self.level != 0.0:
+        if level != 0.0:
             noisy = {}
             for kind, val in out.items():
                 if kind == "value":
                     xi = self._draws(query, kind)
                 else:
                     xi = self._draws(query, kind, val.size).reshape(val.shape)
-                noisy[kind] = val * (1.0 + self.level * xi)
+                noisy[kind] = val * (1.0 + level * xi)
         bad = _nonfinite(noisy)
         if bad is not None:
             if _nonfinite(out) is None:  # only a finite base output uses up its query
                 self._query_index += 1
-            raise NonFiniteValue(f"{self.base.name}: {bad} is non-finite at the queried point")
+            raise NonFiniteValue(f"{base.name}: {bad} is non-finite at the queried point")
         self._query_index = query + 1
         return noisy
 

@@ -201,6 +201,9 @@ class Interpolant:
         df = np.diff(f) / h
         self._c2 = (3.0 * df - 2.0 * g[:-1] - g[1:]) / h
         self._c3 = (g[:-1] + g[1:] - 2.0 * df) / (h * h)
+        self._last = len(x) - 1
+        self._first_x, self._last_x = x.item(0), x.item(self._last)
+        self._i = 0  # the interval of the last scalar query inside the knots
 
     def __call__(self, x, order: int = 0):
         """Evaluate the interpolant (order 0), slope (1) or curvature (2)."""
@@ -220,14 +223,27 @@ class Interpolant:
         return out
 
     def _at(self, x: float, order: int) -> float:
-        """Scalar query: the same formulas on plain floats."""
-        xs, f, g = self.knots.x, self.knots.f, self.knots.g
-        if x < xs.item(0):
+        """Scalar query: the same formulas on plain floats.
+
+        The interval ``i`` with ``xs[i] <= x < xs[i+1]`` is found by walking
+        right from the last query's interval, so a nondecreasing sequence of
+        queries, such as a retrace, does not search the knots; a query left of
+        that interval searches them as the array path does.  A NaN keeps the
+        last interval and evaluates to NaN, as on the array path.
+        """
+        if x < self._first_x:
             raise OutOfDomain("query left of the first knot")
-        last = len(xs) - 1
-        if x >= xs.item(last):
-            return _linear(order, x - xs.item(last), f.item(last), g.item(last))
-        i = min(int(xs.searchsorted(x, side="right")), last) - 1
+        xs, f, g = self.knots.x, self.knots.f, self.knots.g
+        if x >= self._last_x:
+            last = self._last
+            return _linear(order, x - self._last_x, f.item(last), g.item(last))
+        i = self._i
+        if x < xs.item(i):
+            i = int(xs.searchsorted(x, side="right")) - 1
+        else:
+            while xs.item(i + 1) <= x:  # stops at i = last - 1, since x < xs[last]
+                i += 1
+        self._i = i
         return _cubic(order, x - xs.item(i), f.item(i), g.item(i),
                       self._c2.item(i), self._c3.item(i))
 
@@ -253,14 +269,14 @@ def _linear(order, t, f0, g0):
 
 def interpolant_problem(knots: KnotSequence) -> Problem:
     """Wrap the piecewise-cubic interpolant as a 1-D problem the driver can run on."""
-    fn = Interpolant(knots)
+    at = Interpolant(knots)._at
     return Problem(
         name=f"{knots.kind}-interp",
         n=1,
         x0=np.array([knots.x[0]]),
-        f=lambda x: fn(x[0], 0),
-        g=lambda x: np.array([fn(x[0], 1)]),
-        h=lambda x: np.array([[fn(x[0], 2)]]),
+        f=lambda x: at(x.item(0), 0),
+        g=lambda x: np.array([at(x.item(0), 1)]),
+        h=lambda x: np.array([[at(x.item(0), 2)]]),
     )
 
 

@@ -27,9 +27,10 @@ CG_ATOL = 1e-12
 CG_PRODUCTS_PER_DIM = 5
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class TrustRegion:
-    """Region geometry for one iteration."""
+    """Region geometry for one iteration (built once per iteration, so not
+    frozen: a frozen dataclass costs about three times as much to build)."""
 
     norm: str  # "inf" or "two"
     radii: np.ndarray  # per-coordinate Delta_i (inf) or scaled direction g/w (two)
@@ -49,9 +50,10 @@ def make_region(norm: str, g: np.ndarray, w: np.ndarray) -> TrustRegion:
     return TrustRegion(norm, np.abs(g) / w)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class CauchyData:
-    """Scaled steepest-descent step sL, its model minimizer sQ = gamma*sL."""
+    """Scaled steepest-descent step sL, its model minimizer sQ = gamma*sL
+    (not frozen, like :class:`TrustRegion`)."""
 
     sL: np.ndarray
     gamma: float
@@ -79,7 +81,7 @@ def cauchy_point(g: np.ndarray, model: HessianModel, tr: TrustRegion) -> CauchyD
         raise NonFiniteInput("gradient contains NaN or inf")
     if model.is_zero and sL.shape == (model.n,):
         # what the general formula gives for curv = +0.0, sign of zero included
-        return CauchyData(sL=sL, gamma=1.0, sQ=sL, qdec=-(gsl + 0.0))
+        return CauchyData(sL, 1.0, sL, -(gsl + 0.0))
     curv = float(sL @ apply_model(model, sL))
     if curv > 0.0:
         gamma = min(1.0, abs(gsl) / curv)
@@ -87,7 +89,7 @@ def cauchy_point(g: np.ndarray, model: HessianModel, tr: TrustRegion) -> CauchyD
         gamma = 1.0
     sQ = gamma * sL
     qdec = -(gamma * gsl + 0.5 * gamma * gamma * curv)
-    return CauchyData(sL=sL, gamma=gamma, sQ=sQ, qdec=qdec)
+    return CauchyData(sL, gamma, sQ, qdec)
 
 
 def solve_tr_step(
@@ -108,13 +110,13 @@ def solve_tr_step(
     discarded in favour of sQ.  Callers that already computed the Cauchy data
     may pass it in; they then vouch that ``g`` is finite.
     """
-    g = np.asarray(g, dtype=float)
     if not 0.0 < tau <= 1.0:
         raise InvalidParameter(f"tau must lie in (0,1], got {tau}")
 
     cp = cauchy if cauchy is not None else cauchy_point(g, model, tr)
     if model.is_zero:
         return cp.sL  # exact box/ball minimizer of the linear model
+    g = np.asarray(g, dtype=float)
 
     if tr.norm == "inf":
         if model.kind == "bb":

@@ -1,13 +1,42 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import offo
 from offo import bench
 from offo.cli import main
-from offo.errors import InvalidParameter
+
+
+def assert_one_line_error(capsys, message):
+    """A library error reaches the user as one argparse-style line on stderr,
+    with no traceback and nothing on stdout."""
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("offo: error: ")
+    assert captured.err.count("\n") == 1 and message in captured.err
+    assert "Traceback" not in captured.err
 
 
 class TestSolve:
+    def test_unknown_problem_is_a_usage_error(self, capsys):
+        rc = main(["solve", "--problem", "nosuch"])
+        assert rc == 2
+        assert_one_line_error(capsys, "nosuch")
+
+    def test_library_errors_exit_with_status_2(self):
+        # the installed entry point hands main's return value to sys.exit
+        src = str(Path(offo.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        proc = subprocess.run([sys.executable, "-c", "import sys; from offo.cli import main; "
+                               "sys.exit(main())", "solve", "--problem", "nosuch"],
+                              capture_output=True, text=True, env=env)
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("offo: error: ") and proc.stderr.count("\n") == 1
+
     def test_basic_run(self, capsys):
         rc = main(["solve", "--problem", "beale", "--variant", "adagi1",
                    "--max-iter", "2000"])
@@ -30,10 +59,11 @@ class TestSolve:
                    "--model", "bb", "--norm", "2", "--max-iter", "2000"])
         assert rc == 0
 
-    def test_sdba_rejects_model_and_norm(self):
-        with pytest.raises(InvalidParameter, match="sdba"):
-            main(["solve", "--problem", "booth", "--variant", "sdba",
-                  "--model", "exact", "--norm", "2", "--max-iter", "50"])
+    def test_sdba_rejects_model_and_norm(self, capsys):
+        rc = main(["solve", "--problem", "booth", "--variant", "sdba",
+                   "--model", "exact", "--norm", "2", "--max-iter", "50"])
+        assert rc == 2
+        assert_one_line_error(capsys, "sdba has no model or norm")
 
     def test_noisy_run(self, capsys):
         rc = main(["solve", "--problem", "booth", "--variant", "sdba",
@@ -73,10 +103,12 @@ class TestSharpness:
         assert rc == 0
         assert grid.exists()
 
-    def test_sharp2_rejects_nu_one_by_name(self, tmp_path):
-        with pytest.raises(InvalidParameter, match="nu must lie in"):
-            main(["sharpness", "--kind", "sharp2", "--nu", "1", "--iters", "10",
-                  "--out", str(tmp_path / "knots.csv")])
+    def test_sharp2_rejects_nu_one_by_name(self, tmp_path, capsys):
+        rc = main(["sharpness", "--kind", "sharp2", "--nu", "1", "--iters", "10",
+                   "--out", str(tmp_path / "knots.csv")])
+        assert rc == 2
+        assert_one_line_error(capsys, "nu must lie in (0,1), got 1.0")
+        assert not (tmp_path / "knots.csv").exists()
 
 
 class TestCheck:

@@ -40,3 +40,18 @@ def test_instrumented_run_changes_nothing_and_is_restored(spans, tag):
     assert len(rec.start) > 0
     assert (traced.status, traced.iters) == (bare.status, bare.iters)
     np.testing.assert_array_equal(traced.x_final, bare.x_final)
+
+
+def test_zero_model_step_goes_through_every_traced_name(spans):
+    # a leaner trust-region loop must still call each rebound kernel once per step
+    (problem,) = offo.load_suite(["rosenbr"])
+    rec = spans.SpanRecorder("t")
+    with spans.instrument(offo, rec):
+        record = offo.bench.run_variant(problem, "adagi1", max_iter=40)
+    assert spans.restored(offo) == []
+    assert record.status == "budget-exhausted" and record.iters == 40
+    summary = spans.SpanSummary(rec)
+    for name in ("scaling.update", "step.region", "step.cauchy", "step.solve",
+                 "step.model_value"):
+        assert summary.calls(name, "driver.run") == record.iters, name
+        assert summary.calls(name) == record.iters, name

@@ -213,6 +213,42 @@ def test_scalar_and_array_queries_agree_bit_for_bit(kind, order, j, dist, fracs)
         fn(np.array([xs[0] - dist]), order)
 
 
+@st.composite
+def query_sequences(draw, xs):
+    """Points a retrace and its neighbours ask for: exact knot hits (the first
+    and the last included), points between knots and past the last knot, in a
+    forward sweep, a backward sweep or as drawn, each repeated 1-3 times, with
+    one NaN put in somewhere."""
+    m = len(xs)
+    between = st.tuples(st.integers(0, m - 2), st.floats(0.0, 1.0, exclude_max=True))
+    point = st.one_of(
+        st.integers(0, m - 1).map(lambda j: float(xs[j])),
+        between.map(lambda t: float(xs[t[0]] + t[1] * (xs[t[0] + 1] - xs[t[0]]))),
+        st.floats(0.0, 1e6).map(lambda d: float(xs[-1] + d)),
+    )
+    points = draw(st.lists(point, min_size=1, max_size=25))
+    sweep = draw(st.sampled_from(["forward", "backward", "as drawn"]))
+    if sweep != "as drawn":
+        points.sort(reverse=sweep == "backward")
+    repeats = draw(st.lists(st.integers(1, 3), min_size=len(points), max_size=len(points)))
+    queries = [x for x, r in zip(points, repeats) for _ in range(r)]
+    queries.insert(draw(st.integers(0, len(queries))), float("nan"))
+    return queries
+
+
+@settings(max_examples=150, deadline=None)
+@given(kind=st.sampled_from(["sharp1", "sharp2"]), order=st.sampled_from([0, 1, 2]),
+       data=st.data())
+def test_reused_interpolant_answers_any_query_order_like_a_fresh_one(kind, order, data):
+    # the cached instance keeps the interval of its last query across examples
+    reused = _interpolant(kind)
+    knots = reused.knots
+    for x in data.draw(query_sequences(knots.x)):
+        got = np.float64(reused(x, order)).tobytes()
+        assert got == np.float64(Interpolant(knots)(x, order)).tobytes(), x
+        assert got == reused(np.array([x]), order)[:1].tobytes(), x
+
+
 class TestVerify:
     def _run(self, knots, iters):
         problem = interpolant_problem(knots)
