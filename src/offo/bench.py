@@ -495,7 +495,7 @@ def constants_from_run(record: RunRecord, L: float, Gamma0: float) -> TheoryCons
     trace = record.trace
     if trace is None or "g" not in trace:
         raise MissingConstants("theory checks need a run with keep_trace enabled")
-    strat = record.config.strategy
+    strat = record.config.scaling
     gs = trace["g"]
     kappa_g = max(1.0,
                   float(np.max(np.abs(gs))),
@@ -596,16 +596,16 @@ def quadratic_testbed(n: int, x0_scale: float = 1.0) -> Problem:
 
 
 #: the bound runs of the theory battery on quadratic_testbed(5), on the
-#: infinity-norm region: (check name, regime, scaling, model kind)
+#: infinity-norm region: (check name, regime, scaling, model kind); one row
+#: per scaling regime, then one per ``driver.VARIANTS`` row with a model
 BOUND_RUNS = (
     ("bounds-mu_lt_half", "mu_lt_half", ScalingStrategy(kind="adagrad-comp", mu=0.25), "none"),
     ("bounds-mu_eq_half", "mu_eq_half", ScalingStrategy(kind="adagrad-comp", mu=0.5), "none"),
     ("bounds-mu_gt_half", "mu_gt_half", ScalingStrategy(kind="adagrad-comp", mu=0.75), "none"),
     ("bounds-ming", "ming", ScalingStrategy(kind="maxg-comp", mu=0.9, nu=0.9, varsigma=1.0),
      "none"),
-    ("bounds-b1adagi1", "mu_eq_half", "adagi1", "bb"),
-    ("bounds-lmadagi3b", "mu_eq_half", "adagi1", "lbfgs3"),
-    ("bounds-Eadagi1", "mu_eq_half", "adagi1", "exact"),
+    *((f"bounds-{tag}", "mu_eq_half", ScalingStrategy(kind), model)
+      for tag, (kind, model, _) in VARIANTS.items() if model != "none"),
 )
 
 #: W_-1 arguments of the battery's residual check, from near 0 to the branch point

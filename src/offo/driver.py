@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Optional
 
 import numpy as np
 
@@ -24,6 +24,7 @@ from .step import cauchy_point, make_region, model_value, solve_tr_step
 STATUS_CONVERGED = "converged"
 STATUS_BUDGET = "budget-exhausted"
 STATUS_OVERFLOW = "overflow-failure"
+STATUS_STALLED = "stalled"
 
 #: sufficient-decrease constant, step shrink factor and backtrack budget of sdba
 ARMIJO_C = 1e-4
@@ -33,17 +34,17 @@ ARMIJO_MAX_BACKTRACKS = 60
 #: a JSON run record keeps every ceil(len / TRACE_POINTS)-th trace row and the last
 TRACE_POINTS = 1000
 
-#: variant tag -> (scaling tag, model kind, trust-region norm)
+#: variant tag -> (scaling kind, model kind, trust-region norm); the one variant table
 VARIANTS = {
-    "adag1": ("adag1", "none", "two"),
-    "adagi1": ("adagi1", "none", "inf"),
-    "adag2": ("adag2", "none", "two"),
-    "adagi2": ("adagi2", "none", "inf"),
-    "maxg01": ("maxg01", "none", "two"),
-    "maxgi01": ("maxgi01", "none", "inf"),
-    "b1adagi1": ("adagi1", "bb", "inf"),
-    "lmadagi3b": ("adagi1", "lbfgs3", "inf"),
-    "Eadagi1": ("adagi1", "exact", "inf"),
+    "adag1": ("adagrad-agg", "none", "two"),
+    "adagi1": ("adagrad-comp", "none", "inf"),
+    "adag2": ("ewma-agg", "none", "two"),
+    "adagi2": ("ewma-comp", "none", "inf"),
+    "maxg01": ("maxg-agg", "none", "two"),
+    "maxgi01": ("maxg-comp", "none", "inf"),
+    "b1adagi1": ("adagrad-comp", "bb", "inf"),
+    "lmadagi3b": ("adagrad-comp", "lbfgs3", "inf"),
+    "Eadagi1": ("adagrad-comp", "exact", "inf"),
 }
 
 
@@ -51,7 +52,7 @@ VARIANTS = {
 class RunConfig:
     """Everything needed to reproduce one run bit for bit."""
 
-    scaling: Union[ScalingStrategy, str] = "adagi1"
+    scaling: ScalingStrategy = ScalingStrategy("adagrad-comp")
     model: str = "none"  # none | bb | lbfgs3 | exact
     norm: str = "inf"
     tau: float = 0.1
@@ -64,18 +65,14 @@ class RunConfig:
     variant: Optional[str] = None
 
     def __post_init__(self):
+        if not isinstance(self.scaling, ScalingStrategy):
+            raise InvalidParameter(f"scaling must be a ScalingStrategy, got {self.scaling!r}")
         if self.eps <= 0:
             raise InvalidParameter("eps must be > 0")
         if self.max_iter < 1:
             raise InvalidParameter("max_iter must be >= 1")
         if self.noise_level < 0:
             raise InvalidParameter("noise level must be >= 0")
-
-    @property
-    def strategy(self) -> ScalingStrategy:
-        if isinstance(self.scaling, ScalingStrategy):
-            return self.scaling
-        return ScalingStrategy.from_tag(self.scaling)
 
 
 def variant_config(tag: str, **overrides) -> RunConfig:
@@ -88,8 +85,8 @@ def variant_config(tag: str, **overrides) -> RunConfig:
         return RunConfig(variant="sdba", **overrides)
     if tag not in VARIANTS:
         raise InvalidParameter(f"unknown variant tag {tag!r}")
-    scaling_tag, model_kind, norm = VARIANTS[tag]
-    return RunConfig(**{"scaling": scaling_tag, "model": model_kind, "norm": norm,
+    kind, model, norm = VARIANTS[tag]
+    return RunConfig(**{"scaling": ScalingStrategy(kind), "model": model, "norm": norm,
                         "variant": tag, **overrides})
 
 
@@ -118,14 +115,14 @@ class RunRecord:
 class _Trace:
     """Column-wise trace accumulator (iterate rows + step rows).
 
-    The loop never changes ``x``, ``w``, the radii or ``s`` in place, so they
+    The loop never changes ``x``, ``w`` or ``s`` in place, so they
     are kept as given; ``g`` is the oracle's output and is copied."""
 
     def __init__(self, keep, record_f):
         self.keep = keep
         self.record_f = record_f
         self.xs, self.gs, self.gnorms, self.fs = [], [], [], []
-        self.ws, self.deltas, self.ss, self.qdecs, self.bnorms = [], [], [], [], []
+        self.ws, self.ss, self.bnorms = [], [], []
 
     def iterate(self, x, g, gnorm, f):
         self.gnorms.append(gnorm)
@@ -135,12 +132,10 @@ class _Trace:
             self.xs.append(x)
             self.gs.append(g.copy())
 
-    def step(self, w, delta, s, qdec, bnorm):
+    def step(self, w, s, bnorm):
         if self.keep:
             self.ws.append(w)
-            self.deltas.append(delta)
             self.ss.append(s)
-            self.qdecs.append(qdec)
             self.bnorms.append(bnorm)
 
     def freeze(self):
@@ -151,9 +146,7 @@ class _Trace:
             out["x"] = np.asarray(self.xs)
             out["g"] = np.asarray(self.gs)
             out["w"] = np.asarray(self.ws)
-            out["delta"] = np.asarray(self.deltas)
             out["s"] = np.asarray(self.ss)
-            out["qdec"] = np.asarray(self.qdecs)
             out["bnorm"] = np.asarray(self.bnorms)
         return out
 
@@ -162,10 +155,10 @@ def _run(problem: Problem, config: RunConfig, want: tuple, step, variant) -> Run
     """The iteration both methods share: query ``want`` at each iterate, stop
     on the gradient norm test or the budget, else step by
     ``step(k, x, g, f, oracle, counters, trace)``.  A step of None ends the run
-    as budget-exhausted, an overflow as ``overflow-failure`` (never raised)."""
+    as ``stalled``, an overflow as ``overflow-failure`` (never raised)."""
     oracle = NoisyProblem(problem, config.noise_level, config.noise_seed)
     counters = {"sbound_violations": 0, "gcp_violations": 0,
-                "wfloor_violations": 0, "armijo_stalls": 0}
+                "wfloor_violations": 0}
     trace = _Trace(config.keep_trace, "value" in want)
 
     x = problem._checked(problem.x0, want)[0].copy()
@@ -199,6 +192,7 @@ def _run(problem: Problem, config: RunConfig, want: tuple, step, variant) -> Run
                 status = STATUS_OVERFLOW
                 break
             if s is None:
+                status = STATUS_STALLED
                 break
             x = x + s
 
@@ -229,9 +223,8 @@ def astr1(problem: Problem, config: RunConfig) -> RunRecord:
     on every iteration and are counted in ``counters``.
     """
     n = problem.n
-    strategy = config.strategy
-    floor = strategy.floor
-    state = init_scaling(strategy, n)
+    floor = config.scaling.floor
+    state = init_scaling(config.scaling, n)
     model = init_model(config.model, n)
     # only the secant models read y = g - prev_g; the others are never given it
     secant = model.kind in ("bb", "lbfgs")
@@ -242,7 +235,7 @@ def astr1(problem: Problem, config: RunConfig) -> RunRecord:
     def step(k, x, g, fval, oracle, counters, trace):
         nonlocal prev_g, prev_s
         w = update_scaling(state, g, k)
-        if not w.min() >= floor:  # w is finite: update_scaling raises otherwise
+        if np.count_nonzero(w < floor):  # w is finite: update_scaling raises otherwise
             counters["wfloor_violations"] += 1
         tr = make_region(norm, g, w)
         update_model(model, prev_s, g - prev_g if secant and k else None, x, oracle)
@@ -261,7 +254,7 @@ def astr1(problem: Problem, config: RunConfig) -> RunRecord:
             counters["gcp_violations"] += 1
 
         if keep_trace:
-            trace.step(w, tr.radii, s, cp.qdec, model.bnorm)
+            trace.step(w, s, model.bnorm)
         prev_g, prev_s = g, s
         return s
 
@@ -286,10 +279,9 @@ def sdba(problem: Problem, config: RunConfig) -> RunRecord:
                 if (trial == x).all():
                     break  # a step below the rounding of x: the search has stalled
                 s = alpha * d
-                trace.step(np.zeros(0), np.zeros(0), s, -alpha * gd, 0.0)
+                trace.step(np.zeros(0), s, 0.0)
                 return s
             alpha *= ARMIJO_FACTOR
-        counters["armijo_stalls"] += 1
         return None  # a stalled search ends the run
 
     return _run(problem, config, ("value", "gradient"), step, config.variant or "sdba")
@@ -324,7 +316,7 @@ def fdecrease_margins(record: RunRecord, L: float) -> np.ndarray:
     if ws.shape != ss.shape:
         raise InvalidParameter("fdecrease needs a trust-region run, not sdba")
     kappaB = max(1.0, float(np.max(tr["bnorm"])))
-    floor = record.config.strategy.floor
+    floor = record.config.scaling.floor
     tau = record.config.tau
     g2 = gs[:t] ** 2
     terms = g2 / (2.0 * kappaB * ws) * (tau * floor - kappaB * (kappaB + L) / ws)

@@ -4,12 +4,14 @@ Six rules are implemented behind one update interface.  The ``-comp`` kinds
 keep one accumulator per coordinate, the ``-agg`` kinds share a single scalar
 accumulator (built from Euclidean gradient norms) across all coordinates:
 
-* ``adagrad-comp``  w_i = (sigma + sum_l g_{i,l}^2)^mu            (tag ``adagi1``)
-* ``adagrad-agg``   w_i = (sigma + sum_l ||g_l||^2)^mu            (tag ``adag1``)
-* ``ewma-comp``     same as adagrad-comp with beta2 discounting   (tag ``adagi2``)
-* ``ewma-agg``      same as adagrad-agg with beta2 discounting    (tag ``adag2``)
-* ``maxg-comp``     w_i = (k+1)^nu * max(sigma, max_l |g_{i,l}|)  (tag ``maxgi01``)
-* ``maxg-agg``      w_i = (k+1)^nu * max(sigma, max_l ||g_l||)    (tag ``maxg01``)
+* ``adagrad-comp``  w_i = (sigma + sum_l g_{i,l}^2)^mu            (variant ``adagi1``)
+* ``adagrad-agg``   w_i = (sigma + sum_l ||g_l||^2)^mu            (variant ``adag1``)
+* ``ewma-comp``     same as adagrad-comp with beta2 discounting   (variant ``adagi2``)
+* ``ewma-agg``      same as adagrad-agg with beta2 discounting    (variant ``adag2``)
+* ``maxg-comp``     w_i = (k+1)^nu * max(sigma, max_l |g_{i,l}|)  (variant ``maxgi01``)
+* ``maxg-agg``      w_i = (k+1)^nu * max(sigma, max_l ||g_l||)    (variant ``maxg01``)
+
+``driver.VARIANTS`` maps each variant tag to its kind.
 """
 
 from __future__ import annotations
@@ -21,15 +23,8 @@ import numpy as np
 
 from .errors import DimensionMismatch, InvalidParameter, NonFiniteInput, NonFiniteValue
 
-#: benchmark variant tag -> scaling kind, one tag per kind
-VARIANT_TAGS = {
-    "adag1": "adagrad-agg",
-    "adagi1": "adagrad-comp",
-    "adag2": "ewma-agg",
-    "adagi2": "ewma-comp",
-    "maxg01": "maxg-agg",
-    "maxgi01": "maxg-comp",
-}
+#: the scaling kinds, as ``ScalingStrategy.kind`` names them
+KINDS = ("adagrad-comp", "adagrad-agg", "ewma-comp", "ewma-agg", "maxg-comp", "maxg-agg")
 
 #: largest n * max|g_i|^2 for which g.g surely cannot overflow
 _DOT_LIMIT = 0.5 * float(np.finfo(float).max)
@@ -64,7 +59,7 @@ class ScalingStrategy:
     beta2: float = 0.9
 
     def __post_init__(self):
-        if self.kind not in VARIANT_TAGS.values():
+        if self.kind not in KINDS:
             raise InvalidParameter(f"unknown scaling kind {self.kind!r}")
         if not 0.0 < self.mu < 1.0:
             raise InvalidParameter(f"mu must lie in (0,1), got {self.mu}")
@@ -85,13 +80,6 @@ class ScalingStrategy:
         if self.kind.startswith("maxg"):
             return self.varsigma
         return self.varsigma**self.mu * np.sqrt(self.vartheta)
-
-    @classmethod
-    def from_tag(cls, tag: str, **overrides) -> "ScalingStrategy":
-        """Build the strategy named by a benchmark variant tag such as ``adagi1``."""
-        if tag not in VARIANT_TAGS:
-            raise InvalidParameter(f"unknown scaling tag {tag!r}")
-        return cls(kind=VARIANT_TAGS[tag], **overrides)
 
 
 @dataclass

@@ -292,7 +292,7 @@ def verify_sharpness(knots: KnotSequence, record) -> dict:
         raise ConfigMismatch("verification runs must use the zero Hessian model")
     if config.norm != "inf":
         raise ConfigMismatch("verification runs must use the infinity norm")
-    if config.strategy != knots.strategy:
+    if config.scaling != knots.strategy:
         raise ConfigMismatch("run scaling does not match the construction's scaling")
     trace = record.trace
     if trace is None or "x" not in trace:

@@ -33,7 +33,9 @@ class TrustRegion:
     frozen: a frozen dataclass costs about three times as much to build)."""
 
     norm: str  # "inf" or "two"
-    radii: np.ndarray  # per-coordinate Delta_i (inf) or scaled direction g/w (two)
+    # |g_i| / w_i for both norms: the box's half-widths (inf), or the vector
+    # whose Euclidean norm is the ball's radius (two)
+    radii: np.ndarray
 
     @property
     def radius(self) -> float:

@@ -7,9 +7,9 @@ to ``(status, iters, evals, sha256(x_final bytes))`` and compared with the
 values stored in ``golden_outcomes.json``.  ``golden_theory.json`` pins the
 sha256 of the sharp1 (1e4 steps) and sharp2 (5e4 steps) knot arrays, of
 the sharp1 retrace's trace ``x`` and ``g``, and of one 2,000-iteration
-``record_f`` run per scaling tag on ``quadratic_testbed(5)`` started at
-x0 = 10, where every tag runs most of its budget.  A refactor
-that keeps these tests green changed no iterate.
+``record_f`` run per model-free variant (one per scaling kind) on
+``quadratic_testbed(5)`` started at x0 = 10, where every variant runs most of
+its budget.  A refactor that keeps these tests green changed no iterate.
 
 To regenerate the stored values (only when an iterate is meant to change),
 printing one ``tag@level problem: moved fields`` or ``row: moved fields``
@@ -28,12 +28,13 @@ import pytest
 from offo.bench import quadratic_testbed
 from offo.driver import VARIANTS, RunConfig, astr1, run_variant
 from offo.problems import load_suite
-from offo.scaling import VARIANT_TAGS
 from offo.sharpness import build_counterexample, interpolant_problem
 
 GOLDEN_PATH = Path(__file__).with_name("golden_outcomes.json")
 THEORY_PATH = Path(__file__).with_name("golden_theory.json")
 ALL_TAGS = [*VARIANTS, "sdba"]
+#: the model-free variants, one per scaling kind
+MODEL_FREE = [tag for tag, (_, model, _) in VARIANTS.items() if model == "none"]
 LEVELS = (0.0, 0.25)
 NOISE_SEED = 20220303
 MAX_ITER = 50
@@ -42,7 +43,7 @@ FIELDS = ("status", "iters", "evals", "x")
 #: the knot sequences pinned, as the theory-retrace benchmark builds them
 SHARP = (("sharp1", {"mu": 0.5, "eta": 0.01, "varsigma": 0.01}, 10_000),
          ("sharp2", {"nu": 1.0 / 9.0, "omega": 4.0 / 9.0 + 0.01}, 50_000))
-#: iterations of the pinned record_f run of each scaling tag, and its start
+#: iterations of the pinned record_f run of each model-free variant, and its start
 #: (from x0 = 1, maxg-comp lands on the minimizer in one step)
 RECORD_F_ITERS = 2000
 RECORD_F_X0 = 10.0
@@ -88,7 +89,7 @@ def theory_rows() -> dict:
                                max_iter=steps, keep_trace=True)
             trace = astr1(interpolant_problem(knots), config).trace
             rows[f"retrace {kind}"] = {"x": _sha256(trace["x"]), "g": _sha256(trace["g"])}
-    for tag in VARIANT_TAGS:
+    for tag in MODEL_FREE:
         record = run_variant(quadratic_testbed(5, x0_scale=RECORD_F_X0), tag, eps=1e-30,
                              max_iter=RECORD_F_ITERS, record_f=True)
         rows[f"record_f {tag}"] = {"status": record.status, "iters": record.iters,
