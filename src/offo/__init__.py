@@ -12,7 +12,7 @@ from .bench import (
     theory_check,
 )
 from .driver import RunConfig, RunRecord, astr1, fdecrease_margins, run_variant, sdba, variant_config
-from .model import HessianModel, apply_model, init_model, update_model
+from .model import HessianModel, apply_model, update_model
 from .problems import (
     NoisyProblem,
     Problem,
@@ -39,7 +39,7 @@ __all__ = [
     "NoisyProblem", "Problem", "RunConfig", "RunRecord", "ScalingState",
     "ScalingStrategy", "TheoryConstants", "TrustRegion", "aggregate", "apply_model",
     "astr1", "build_counterexample", "cauchy_point", "constants_from_run",
-    "diag_quadratic", "fdecrease_margins", "init_model", "init_scaling",
+    "diag_quadratic", "fdecrease_margins", "init_scaling",
     "interpolant_problem", "lambert_wm1", "load_suite", "make_region",
     "quadratic_testbed", "run_matrix", "run_variant", "sdba",
     "series_suite", "solve_tr_step", "success", "suite_names", "theory_check",

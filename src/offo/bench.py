@@ -63,11 +63,9 @@ class BenchResults:
     """All cells of one experiment, in deterministic order."""
 
     cells: list
-    master_seed: int
     variants: list
     problems: list
     noise_levels: list
-    reps: int
 
     def level_cells(self, level: float) -> list:
         return [c for c in self.cells if c.noise_level == level]
@@ -157,9 +155,8 @@ def run_matrix(variants: Iterable[str], problems: Iterable[Problem],
                         counters=dict(record.counters),
                     )
                     cells.append(cell)
-    return BenchResults(cells=cells, master_seed=master_seed, variants=variants,
-                        problems=[p.name for p in problems],
-                        noise_levels=noise_levels, reps=reps)
+    return BenchResults(cells=cells, variants=variants,
+                        problems=[p.name for p in problems], noise_levels=noise_levels)
 
 
 # ---------------------------------------------------------------------------
@@ -279,21 +276,24 @@ def write_stats_csv(results: BenchResults, path: str) -> dict:
 # the summation lemma behind the adaptive-scaling analysis
 # ---------------------------------------------------------------------------
 
-def series_bound_margins(a: np.ndarray, xi: float, alpha: float) -> np.ndarray:
-    """Margins rhs_k - lhs_k of the partial-sum bound, for every k.
-
-    lhs_k = sum_{j<=k} a_j / (xi + b_j)^alpha with b the running sum of the
-    nonnegative sequence a; rhs is the closed-form bound (power form for
-    alpha != 1, logarithmic form at alpha = 1).  Sums run along the last
-    axis, so a 2-D ``a`` holds one sequence per row.
-    """
+def _partial_sums(a, xi: float, alpha: float):
+    """The running sum b_k = sum_{j<=k} a_j of the nonnegative sequence ``a``
+    and lhs_k = sum_{j<=k} a_j / (xi + b_j)^alpha, for xi > 0, along the last
+    axis, so a 2-D ``a`` holds one sequence per row."""
     a = np.asarray(a, dtype=float)
     if np.any(a < 0):
         raise InvalidParameter("sequence must be nonnegative")
-    if xi <= 0:
-        raise InvalidParameter("xi must be positive")
+    if not xi > 0:
+        raise InvalidParameter(f"xi must be positive, got {xi}")
     b = np.cumsum(a, axis=-1)
-    lhs = np.cumsum(a / (xi + b) ** alpha, axis=-1)
+    return b, np.cumsum(a / (xi + b) ** alpha, axis=-1)
+
+
+def series_bound_margins(a: np.ndarray, xi: float, alpha: float) -> np.ndarray:
+    """Margins rhs_k - lhs_k of the partial-sum bound, for every k, with b and
+    lhs as :func:`_partial_sums` gives them; rhs is the closed-form bound
+    (power form for alpha != 1, logarithmic form at alpha = 1)."""
+    b, lhs = _partial_sums(a, xi, alpha)
     if alpha == 1.0:
         rhs = np.log((xi + b) / xi)
     else:
@@ -304,9 +304,7 @@ def series_bound_margins(a: np.ndarray, xi: float, alpha: float) -> np.ndarray:
 def series_corollary_margins(a: np.ndarray, xi: float, alpha: float) -> np.ndarray:
     """Margins of the simplified tail bounds (alpha < 1 and alpha > 1 forms),
     along the last axis as in :func:`series_bound_margins`."""
-    a = np.asarray(a, dtype=float)
-    b = np.cumsum(a, axis=-1)
-    lhs = np.cumsum(a / (xi + b) ** alpha, axis=-1)
+    b, lhs = _partial_sums(a, xi, alpha)
     if alpha < 1.0:
         rhs = (xi + b) ** (1.0 - alpha) / (1.0 - alpha)
     elif alpha > 1.0:
@@ -596,7 +594,7 @@ def quadratic_testbed(n: int, x0_scale: float = 1.0) -> Problem:
 
 
 #: the bound runs of the theory battery on quadratic_testbed(5), on the
-#: infinity-norm region: (check name, regime, scaling, model kind); one row
+#: infinity-norm region: (check name, regime, scaling, model name); one row
 #: per scaling regime, then one per ``driver.VARIANTS`` row with a model
 BOUND_RUNS = (
     ("bounds-mu_lt_half", "mu_lt_half", ScalingStrategy(kind="adagrad-comp", mu=0.25), "none"),

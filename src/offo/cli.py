@@ -14,14 +14,13 @@ from .driver import RunConfig, astr1, save_record
 from .errors import OffoError
 
 ALL_VARIANTS = [*driver.VARIANTS, "sdba"]
-MODELS = list(dict.fromkeys(model for _, model, _ in driver.VARIANTS.values()))
 
 
 def _add_solve(sub):
     p = sub.add_parser("solve", help="run one variant on one problem")
     p.add_argument("--problem", required=True)
     p.add_argument("--variant", default="adagi1", choices=ALL_VARIANTS)
-    p.add_argument("--model", default=None, choices=MODELS,
+    p.add_argument("--model", default=None, choices=list(driver.MODELS),
                    help="override the variant's Hessian model")
     p.add_argument("--norm", default=None, choices=["inf", "2"],
                    help="override the trust-region norm")

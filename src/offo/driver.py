@@ -16,10 +16,10 @@ from typing import Optional
 import numpy as np
 
 from .errors import InvalidParameter, NonFiniteInput, NonFiniteValue
-from .model import init_model, update_model
+from .model import HessianModel, update_model
 from .problems import NoisyProblem, Problem
 from .scaling import ScalingStrategy, euclidean_norm, init_scaling, update_scaling
-from .step import cauchy_point, make_region, model_value, solve_tr_step
+from .step import NORMS, cauchy_point, make_region, model_value, solve_tr_step
 
 STATUS_CONVERGED = "converged"
 STATUS_BUDGET = "budget-exhausted"
@@ -34,7 +34,10 @@ ARMIJO_MAX_BACKTRACKS = 60
 #: a JSON run record keeps every ceil(len / TRACE_POINTS)-th trace row and the last
 TRACE_POINTS = 1000
 
-#: variant tag -> (scaling kind, model kind, trust-region norm); the one variant table
+#: ``RunConfig.model`` name -> ``HessianModel`` kind
+MODELS = {"none": "zero", "bb": "bb", "lbfgs3": "lbfgs", "exact": "exact"}
+
+#: variant tag -> (scaling kind, model name, trust-region norm); the one variant table
 VARIANTS = {
     "adag1": ("adagrad-agg", "none", "two"),
     "adagi1": ("adagrad-comp", "none", "inf"),
@@ -53,7 +56,7 @@ class RunConfig:
     """Everything needed to reproduce one run bit for bit."""
 
     scaling: ScalingStrategy = ScalingStrategy("adagrad-comp")
-    model: str = "none"  # none | bb | lbfgs3 | exact
+    model: str = "none"  # a name of MODELS
     norm: str = "inf"
     tau: float = 0.1
     eps: float = 1e-6
@@ -67,6 +70,10 @@ class RunConfig:
     def __post_init__(self):
         if not isinstance(self.scaling, ScalingStrategy):
             raise InvalidParameter(f"scaling must be a ScalingStrategy, got {self.scaling!r}")
+        if self.model not in MODELS:
+            raise InvalidParameter(f"unknown model {self.model!r}, expected one of {list(MODELS)}")
+        if self.norm not in NORMS:
+            raise InvalidParameter(f"unknown trust-region norm {self.norm!r}")
         if self.eps <= 0:
             raise InvalidParameter("eps must be > 0")
         if self.max_iter < 1:
@@ -154,7 +161,7 @@ class _Trace:
 def _run(problem: Problem, config: RunConfig, want: tuple, step, variant) -> RunRecord:
     """The iteration both methods share: query ``want`` at each iterate, stop
     on the gradient norm test or the budget, else step by
-    ``step(k, x, g, f, oracle, counters, trace)``.  A step of None ends the run
+    ``step(x, g, f, oracle, counters, trace)``.  A step of None ends the run
     as ``stalled``, an overflow as ``overflow-failure`` (never raised)."""
     oracle = NoisyProblem(problem, config.noise_level, config.noise_seed)
     counters = {"sbound_violations": 0, "gcp_violations": 0,
@@ -185,7 +192,7 @@ def _run(problem: Problem, config: RunConfig, want: tuple, step, variant) -> Run
                     break
                 if k == max_iter:
                     break
-                s = step(k, x, g, fval, oracle, counters, trace)
+                s = step(x, g, fval, oracle, counters, trace)
             except (NonFiniteValue, NonFiniteInput):
                 # squared-gradient accumulators, the exact Hessian and g - prev_g
                 # can overflow for finite gradients
@@ -225,20 +232,21 @@ def astr1(problem: Problem, config: RunConfig) -> RunRecord:
     n = problem.n
     floor = config.scaling.floor
     state = init_scaling(config.scaling, n)
-    model = init_model(config.model, n)
+    model = HessianModel(MODELS[config.model], n)
     # only the secant models read y = g - prev_g; the others are never given it
     secant = model.kind in ("bb", "lbfgs")
     norm, tau, keep_trace = config.norm, config.tau, config.keep_trace
     inf_norm = norm == "inf"
     prev_g = prev_s = None
 
-    def step(k, x, g, fval, oracle, counters, trace):
+    def step(x, g, fval, oracle, counters, trace):
         nonlocal prev_g, prev_s
-        w = update_scaling(state, g, k)
+        w = update_scaling(state, g)
         if np.count_nonzero(w < floor):  # w is finite: update_scaling raises otherwise
             counters["wfloor_violations"] += 1
         tr = make_region(norm, g, w)
-        update_model(model, prev_s, g - prev_g if secant and k else None, x, oracle)
+        y = g - prev_g if secant and prev_g is not None else None
+        update_model(model, prev_s, y, x, oracle)
         cp = cauchy_point(g, model, tr)
         s = solve_tr_step(g, model, tr, tau, cauchy=cp)
 
@@ -265,7 +273,7 @@ def astr1(problem: Problem, config: RunConfig) -> RunRecord:
 def sdba(problem: Problem, config: RunConfig) -> RunRecord:
     """Steepest descent with Armijo backtracking (the f-evaluating baseline)."""
 
-    def step(k, x, g, fval, oracle, counters, trace):
+    def step(x, g, fval, oracle, counters, trace):
         d = -g
         gd = float(g @ d)
         alpha = 1.0

@@ -28,7 +28,7 @@ from .errors import DimensionMismatch, InvalidParameter, NonFiniteInput, NonFini
 
 KINDS = ("zero", "bb", "lbfgs", "exact")
 
-#: the lbfgs pair budget (the ``lbfgs3`` variant)
+#: the number of secant pairs the lbfgs kind keeps
 LBFGS_PAIRS = 3
 
 #: relative curvature threshold below which a secant pair is discarded
@@ -37,7 +37,8 @@ CURVATURE_MIN = 1e-15
 
 @dataclass
 class HessianModel:
-    """Symmetric operator with a spectral-norm cap."""
+    """Symmetric operator with a spectral-norm cap; a fresh bb or lbfgs model
+    is B = 0 until a usable secant pair arrives."""
 
     kind: str
     n: int
@@ -62,14 +63,6 @@ class HessianModel:
         if self.kind == "bb":
             return self.sigma == 0.0
         return self.dense is None
-
-
-def init_model(kind: str, n: int, kappaB: float = 1e6) -> HessianModel:
-    """Fresh model of a model kind or a ``RunConfig.model`` name ("none" is
-    the zero kind, "lbfgs3" the lbfgs kind); bb/lbfgs start at B = 0 until a
-    usable secant pair arrives."""
-    kind = {"none": "zero", "lbfgs3": "lbfgs"}.get(kind, kind)
-    return HessianModel(kind=kind, n=n, kappaB=kappaB)
 
 
 def apply_model(model: HessianModel, v: np.ndarray) -> np.ndarray:

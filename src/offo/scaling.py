@@ -88,7 +88,7 @@ class ScalingState:
 
     strategy: ScalingStrategy
     n: int
-    k: int = -1
+    k: int = -1  # the iteration of the last update, -1 before the first
     acc: np.ndarray = field(default=None)  # per-coordinate accumulator
     agg: float = 0.0  # shared scalar accumulator of the -agg kinds
 
@@ -108,11 +108,9 @@ def init_scaling(strategy: ScalingStrategy, n: int) -> ScalingState:
     return state
 
 
-def update_scaling(state: ScalingState, g_k: np.ndarray, k: int) -> np.ndarray:
-    """Fold gradient ``g_k`` of iteration ``k`` into the state and emit w_k.
-
-    ``k`` is passed explicitly (consecutive, starting at 0) so recorded runs
-    can be replayed off-line against the same state trajectory.  A non-finite
+def update_scaling(state: ScalingState, g_k: np.ndarray) -> np.ndarray:
+    """Fold the gradient ``g_k`` of iteration k = ``state.k + 1`` into the
+    state and emit w_k; the first call is iteration 0.  A non-finite
     ``g_k`` raises :class:`NonFiniteInput`, an overflowing accumulator
     :class:`NonFiniteValue`; both leave ``state`` as it was.  Outside an
     ``np.errstate``, NumPy warns of the overflow before the exception.
@@ -120,9 +118,7 @@ def update_scaling(state: ScalingState, g_k: np.ndarray, k: int) -> np.ndarray:
     g_k = np.asarray(g_k, dtype=float)
     if g_k.shape != (state.n,):
         raise DimensionMismatch(f"gradient has shape {g_k.shape}, expected ({state.n},)")
-    if k != state.k + 1:
-        raise InvalidParameter(f"updates must arrive with consecutive k; got {k} after {state.k}")
-
+    k = state.k + 1
     strat = state.strategy
     kind = strat.kind
     acc, agg = state.acc, state.agg

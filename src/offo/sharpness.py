@@ -102,7 +102,6 @@ class KnotSequence:
     """
 
     kind: str  # "sharp1" or "sharp2"
-    params: dict
     k_start: int
     x: np.ndarray
     f: np.ndarray
@@ -145,8 +144,7 @@ def _build_sharp1(params: dict, K: int) -> KnotSequence:
     grads = [-2.0] + [-1.0 / k ** (0.5 + eta) for k in range(1, K + 1)]
     f0 = 4.0 / (varsigma + 4.0) ** mu + zeta(1.0 + 2.0 * eta)
     kappa_f = max(1.5 * (varsigma + 5.0) ** mu, f0, 2.0)
-    return _replay("sharp1", {"mu": mu, "eta": eta, "varsigma": varsigma},
-                   strategy, grads, f0, 0, kappa_f)
+    return _replay("sharp1", strategy, grads, f0, 0, kappa_f)
 
 
 def _build_sharp2(params: dict, K: int) -> KnotSequence:
@@ -163,11 +161,10 @@ def _build_sharp2(params: dict, K: int) -> KnotSequence:
     # every |g_k| <= 1 keeps the running max at the floor
     strategy = ScalingStrategy(kind="maxg-comp", mu=nu, nu=nu, varsigma=1.0)
     grads = [-1.0 / k**omega for k in range(1, K + 2)]
-    return _replay("sharp2", {"nu": nu, "omega": omega}, strategy, grads,
-                   zeta(2.0 * omega + nu), 1, omega)
+    return _replay("sharp2", strategy, grads, zeta(2.0 * omega + nu), 1, omega)
 
 
-def _replay(kind, params, strategy, grads, f0, k_start, kappa_f) -> KnotSequence:
+def _replay(kind, strategy, grads, f0, k_start, kappa_f) -> KnotSequence:
     """Knots of the run that meets the prescribed gradients ``grads``: the
     step from knot j is s_j = |g_j| / w_j, with w_j from the driver's own
     scaling update, and the values follow f_{j+1} = f_j + g_j s_j."""
@@ -176,11 +173,11 @@ def _replay(kind, params, strategy, grads, f0, k_start, kappa_f) -> KnotSequence
     gk = np.empty(1)
     for j, gj in enumerate(grads[:-1]):
         gk[0] = gj
-        sj = abs(gj) / update_scaling(state, gk, j).item()
+        sj = abs(gj) / update_scaling(state, gk).item()
         s.append(sj)
         x.append(x[j] + sj)
         f.append(f[j] + gj * sj)
-    return KnotSequence(kind, params, k_start, np.array(x), np.array(f), np.array(grads),
+    return KnotSequence(kind, k_start, np.array(x), np.array(f), np.array(grads),
                         np.array(s), kappa_f, strategy)
 
 

@@ -54,13 +54,11 @@ def make_region(norm: str, g: np.ndarray, w: np.ndarray) -> TrustRegion:
 
 @dataclass(slots=True)
 class CauchyData:
-    """Scaled steepest-descent step sL, its model minimizer sQ = gamma*sL
+    """Scaled steepest-descent step sL and the model's minimizer sQ along it
     (not frozen, like :class:`TrustRegion`)."""
 
     sL: np.ndarray
-    gamma: float
     sQ: np.ndarray
-    qdec: float  # -(g'sQ + 0.5 sQ'B sQ) >= 0
 
 
 def model_value(g: np.ndarray, model: HessianModel, s: np.ndarray) -> float:
@@ -82,16 +80,10 @@ def cauchy_point(g: np.ndarray, model: HessianModel, tr: TrustRegion) -> CauchyD
     if not math.isfinite(gsl) and not np.isfinite(g).all():
         raise NonFiniteInput("gradient contains NaN or inf")
     if model.is_zero and sL.shape == (model.n,):
-        # what the general formula gives for curv = +0.0, sign of zero included
-        return CauchyData(sL, 1.0, sL, -(gsl + 0.0))
+        return CauchyData(sL, sL)  # a linear model is least at the full step
     curv = float(sL @ apply_model(model, sL))
-    if curv > 0.0:
-        gamma = min(1.0, abs(gsl) / curv)
-    else:
-        gamma = 1.0
-    sQ = gamma * sL
-    qdec = -(gamma * gsl + 0.5 * gamma * gamma * curv)
-    return CauchyData(sL, gamma, sQ, qdec)
+    gamma = min(1.0, abs(gsl) / curv) if curv > 0.0 else 1.0
+    return CauchyData(sL, gamma * sL)
 
 
 def solve_tr_step(

@@ -16,7 +16,7 @@ import pytest
 
 from offo.bench import BenchResults, aggregate, run_matrix, theory_battery
 from offo.driver import VARIANTS, RunConfig, astr1
-from offo.model import apply_model, init_model, update_model
+from offo.model import HessianModel, apply_model, update_model
 from offo.problems import load_suite
 from offo.sharpness import build_counterexample, interpolant_problem, verify_sharpness
 from offo.step import make_region, solve_tr_step
@@ -64,9 +64,8 @@ def _parallel_matrix(variants, noise_levels, reps, master_seed):
     with ProcessPoolExecutor(MATRIX_WORKERS, mp_context=context) as pool:
         parts = list(pool.map(run, *zip(*jobs)))
     results = BenchResults(cells=[c for cells, _ in parts for c in cells],
-                           master_seed=master_seed, variants=list(variants),
-                           problems=names, noise_levels=list(noise_levels),
-                           reps=reps)
+                           variants=list(variants), problems=names,
+                           noise_levels=list(noise_levels))
     results.wall_seconds = sum(seconds for _, seconds in parts)
     return results
 
@@ -205,7 +204,7 @@ def test_criterion_9_oracle_equivalence():
         g = rng.standard_normal(n) * 3.0
         d = rng.uniform(0.1, 4.0, n)
         w = rng.uniform(0.2, 3.0, n)
-        model = init_model("exact", n)
+        model = HessianModel("exact", n)
         model.dense = np.diag(d)
         tr = make_region("inf", g, w)
         s = solve_tr_step(g, model, tr, tau=0.1)
@@ -215,7 +214,7 @@ def test_criterion_9_oracle_equivalence():
     worst_lbfgs = 0.0
     for trial in range(30):
         n = int(rng.integers(2, 7))
-        model = init_model("lbfgs", n)
+        model = HessianModel("lbfgs", n)
         pairs = []
         for _ in range(int(rng.integers(1, 6))):
             s = rng.standard_normal(n)

@@ -23,10 +23,9 @@ def cell(variant, problem, level=0.0, rep=0, status="converged", evals=10,
                       final_f=f, success=ok, counters={})
 
 
-def results_of(cells, variants, problems, levels=(0.0,), reps=1):
-    return BenchResults(cells=cells, master_seed=0, variants=list(variants),
-                        problems=list(problems), noise_levels=list(levels),
-                        reps=reps)
+def results_of(cells, variants, problems, levels=(0.0,)):
+    return BenchResults(cells=cells, variants=list(variants),
+                        problems=list(problems), noise_levels=list(levels))
 
 
 class TestSuccess:

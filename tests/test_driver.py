@@ -5,6 +5,7 @@ import pytest
 
 from offo.driver import (
     ARMIJO_MAX_BACKTRACKS,
+    MODELS,
     TRACE_POINTS,
     VARIANTS,
     RunConfig,
@@ -19,7 +20,7 @@ from offo.driver import (
 from offo.bench import quadratic_testbed
 from offo.errors import InvalidParameter
 from offo.problems import Problem, diag_quadratic, load_suite
-from offo.model import init_model
+from offo.model import KINDS as MODEL_KINDS, HessianModel
 from offo.scaling import KINDS, ScalingStrategy
 from offo.step import NORMS
 
@@ -342,6 +343,19 @@ class TestConfig:
         with pytest.raises(InvalidParameter):
             RunConfig(eps=0.0)
 
+    @pytest.mark.parametrize("override", [{"model": "zero"}, {"model": "lbfgs"},
+                                          {"model": "nope"}, {"norm": "2"},
+                                          {"norm": "euclid"}])
+    def test_unknown_model_or_norm_rejected_when_built(self, override):
+        with pytest.raises(InvalidParameter, match="unknown"):
+            RunConfig(**override)
+
+    def test_every_model_name_maps_to_a_model_kind(self):
+        assert list(MODELS) == list(dict.fromkeys(m for _, m, _ in VARIANTS.values()))
+        assert sorted(MODELS.values()) == sorted(MODEL_KINDS)
+        for kind in MODELS.values():
+            assert HessianModel(kind, 2).kind == kind
+
     def test_unknown_variant(self):
         with pytest.raises(InvalidParameter):
             variant_config("nope")
@@ -368,7 +382,7 @@ class TestConfig:
     def test_every_variant_row_builds_a_config(self, tag):
         kind, model, norm = VARIANTS[tag]
         assert kind in KINDS and norm in NORMS
-        init_model(model, 3)  # raises for a model it does not know
+        HessianModel(MODELS[model], 3)  # raises for a kind it does not know
         cfg = variant_config(tag)
         assert (cfg.scaling, cfg.model, cfg.norm, cfg.variant) == (
             ScalingStrategy(kind), model, norm, tag)

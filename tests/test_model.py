@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from offo.errors import DimensionMismatch, InvalidParameter, NonFiniteInput
-from offo.model import apply_model, init_model, update_model
+from offo.model import HessianModel, apply_model, update_model
 from offo.problems import Problem
 
 
@@ -20,55 +20,55 @@ def dense_bfgs_update(B, s, y):
 
 class TestBB:
     def test_formula(self):
-        m = init_model("bb", 2)
+        m = HessianModel("bb", 2)
         update_model(m, np.array([1.0, 0.0]), np.array([2.0, 0.0]))
         np.testing.assert_array_equal(dense_of(m, 2), 0.5 * np.eye(2))
 
     def test_small_curvature_keeps_previous(self):
-        m = init_model("bb", 2)
+        m = HessianModel("bb", 2)
         s = np.array([1.0, 0.0])
         update_model(m, s, 2.0 * s)
         update_model(m, s, 1e-20 * s)  # y's = 1e-20 ||s||^2 < threshold
         assert m.sigma == 0.5
 
     def test_zero_step_ignored(self):
-        m = init_model("bb", 2)
+        m = HessianModel("bb", 2)
         update_model(m, np.zeros(2), np.zeros(2))
         assert m.is_zero
 
     def test_scalar_apply(self):
-        m = init_model("bb", 2)
+        m = HessianModel("bb", 2)
         update_model(m, np.array([2.0, 0.0]), np.array([1.0, 0.0]))  # sigma = 4/2
         np.testing.assert_array_equal(apply_model(m, np.array([2.0, 4.0])), [4.0, 8.0])
 
 
 class TestZeroAndErrors:
     def test_zero_kind(self):
-        m = init_model("zero", 2)
+        m = HessianModel("zero", 2)
         update_model(m, np.ones(2), np.ones(2))
         np.testing.assert_array_equal(apply_model(m, np.array([5.0, -3.0])), [0.0, 0.0])
         assert m.is_zero and m.bnorm == 0.0
 
     def test_dimension_mismatch(self):
-        m = init_model("zero", 2)
+        m = HessianModel("zero", 2)
         with pytest.raises(DimensionMismatch):
             apply_model(m, np.ones(3))
 
     def test_nonfinite_pair(self):
-        m = init_model("bb", 2)
+        m = HessianModel("bb", 2)
         with pytest.raises(NonFiniteInput):
             update_model(m, np.array([np.inf, 0.0]), np.ones(2))
 
     def test_invalid_kind_and_cap(self):
         with pytest.raises(InvalidParameter):
-            init_model("nope", 2)
+            HessianModel("nope", 2)
         with pytest.raises(InvalidParameter):
-            init_model("bb", 2, kappaB=0.5)
+            HessianModel("bb", 2, kappaB=0.5)
 
 
 class TestLBFGS:
     def test_single_pair_identity_direction(self):
-        m = init_model("lbfgs", 2)
+        m = HessianModel("lbfgs", 2)
         s = np.array([1.0, 0.0])
         update_model(m, s, s)  # sigma = 1, secant pair (s, s)
         np.testing.assert_allclose(apply_model(m, s), s, atol=1e-14)
@@ -76,7 +76,7 @@ class TestLBFGS:
     @pytest.mark.parametrize("n,updates", [(1, 3), (2, 1), (2, 3), (3, 2), (4, 3), (6, 5)])
     def test_matches_dense_bfgs_oracle(self, n, updates):
         rng = np.random.default_rng(n * 100 + updates)
-        m = init_model("lbfgs", n)
+        m = HessianModel("lbfgs", n)
         pairs = []
         for _ in range(updates):
             s = rng.standard_normal(n)
@@ -98,7 +98,7 @@ class TestLBFGS:
     def test_secant_property_most_recent_pair(self):
         rng = np.random.default_rng(5)
         n = 5
-        m = init_model("lbfgs", n)
+        m = HessianModel("lbfgs", n)
         for _ in range(4):
             s = rng.standard_normal(n)
             y = rng.standard_normal(n)
@@ -108,7 +108,7 @@ class TestLBFGS:
         np.testing.assert_allclose(apply_model(m, s), y, rtol=1e-10)
 
     def test_overflowing_rebuild_keeps_previous_operator(self):
-        m = init_model("lbfgs", 2)
+        m = HessianModel("lbfgs", 2)
         update_model(m, np.array([1.0, 0.0]), np.array([2.0, 0.5]))
         pairs, dense, scale, bnorm = list(m.pairs), m.dense.copy(), m.scale, m.bnorm
         with np.errstate(all="ignore"):  # y y' / y's = 1e600 in its corner
@@ -118,7 +118,7 @@ class TestLBFGS:
         assert (m.scale, m.bnorm) == (scale, bnorm)
 
     def test_eviction_beyond_three_pairs(self):
-        m = init_model("lbfgs", 3)
+        m = HessianModel("lbfgs", 3)
         rng = np.random.default_rng(1)
         for _ in range(7):
             s = rng.standard_normal(3)
@@ -131,7 +131,7 @@ class TestExact:
         from offo.problems import diag_quadratic
 
         p = diag_quadratic([2.0, 3.0], [1.0, 1.0])
-        m = init_model("exact", 2)
+        m = HessianModel("exact", 2)
         update_model(m, None, None, x_next=np.array([0.5, 0.5]), problem=p)
         np.testing.assert_array_equal(dense_of(m, 2), np.diag([2.0, 3.0]))
 
@@ -139,7 +139,7 @@ class TestExact:
         from offo.problems import NoisyProblem, diag_quadratic
 
         p = NoisyProblem(diag_quadratic([2.0, 3.0], [1.0, 1.0]), 0.3, 11)
-        m = init_model("exact", 2)
+        m = HessianModel("exact", 2)
         update_model(m, None, None, x_next=np.array([0.5, 0.5]), problem=p)
         dense = dense_of(m, 2)
         np.testing.assert_array_equal(dense, dense.T)
@@ -149,12 +149,12 @@ class TestExact:
 def test_symmetry_probe_20_vectors(kind):
     rng = np.random.default_rng(77)
     n = 6
-    m = init_model(kind, n)
+    m = HessianModel(kind, n)
     if kind == "exact":
         from offo.problems import load_suite
 
         (p,) = load_suite(["kowosb"])
-        m = init_model(kind, 4)
+        m = HessianModel(kind, 4)
         n = 4
         update_model(m, None, None, x_next=p.x0, problem=p)
     else:
@@ -176,7 +176,7 @@ def test_symmetry_probe_20_vectors(kind):
 def test_norm_cap_enforced(kind):
     rng = np.random.default_rng(3)
     n = 4
-    m = init_model(kind, n, kappaB=1.0)
+    m = HessianModel(kind, n, kappaB=1.0)
     if kind == "exact":
         from offo.problems import diag_quadratic
 
@@ -214,7 +214,7 @@ def test_cap_is_exact_on_random_models(kind, n, kappaB, k, level, seed):
     if kind == "exact":
         eigs *= rng.choice([-1.0, 1.0], n)
     a = q @ np.diag(eigs) @ q.T
-    m = init_model(kind, n, kappaB=kappaB)
+    m = HessianModel(kind, n, kappaB=kappaB)
     if kind == "exact":
         update_model(m, None, None, x_next=np.zeros(n), problem=_hessian_problem(a))
     else:

@@ -10,8 +10,8 @@ from offo.scaling import ScalingStrategy, init_scaling, update_scaling
 def drive(strategy, gradients):
     state = init_scaling(strategy, len(gradients[0]))
     ws = []
-    for k, g in enumerate(gradients):
-        ws.append(update_scaling(state, np.asarray(g, float), k))
+    for g in gradients:
+        ws.append(update_scaling(state, np.asarray(g, float)))
     return np.array(ws)
 
 
@@ -95,18 +95,12 @@ class TestUpdateErrors:
     def test_dimension_mismatch(self):
         state = init_scaling(ScalingStrategy("adagrad-comp"), 2)
         with pytest.raises(DimensionMismatch):
-            update_scaling(state, np.zeros(3), 0)
+            update_scaling(state, np.zeros(3))
 
     def test_nonfinite_input(self):
         state = init_scaling(ScalingStrategy("adagrad-comp"), 2)
         with pytest.raises(NonFiniteInput):
-            update_scaling(state, np.array([1.0, np.nan]), 0)
-
-    def test_nonconsecutive_k(self):
-        state = init_scaling(ScalingStrategy("adagrad-comp"), 1)
-        update_scaling(state, np.ones(1), 0)
-        with pytest.raises(InvalidParameter):
-            update_scaling(state, np.ones(1), 2)
+            update_scaling(state, np.array([1.0, np.nan]))
 
 
 @st.composite
@@ -183,8 +177,8 @@ def test_permutation_equivariance(kind, history, data):
 def _warmed_state(kind, history):
     """State after folding in every row of ``history``, and a snapshot of it."""
     state = init_scaling(_strategy(kind), history.shape[1])
-    for k, g in enumerate(history):
-        update_scaling(state, g, k)
+    for g in history:
+        update_scaling(state, g)
     acc = None if state.acc is None else state.acc.copy()
     return state, (state.k, acc, state.agg)
 
@@ -206,7 +200,7 @@ def test_nonfinite_gradient_rejected_and_state_kept(kind, history, data):
     g = history[-1].copy()
     g[data.draw(st.integers(0, g.size - 1))] = data.draw(st.sampled_from([np.nan, np.inf, -np.inf]))
     with pytest.raises(NonFiniteInput):
-        update_scaling(state, g, len(history) - 1)
+        update_scaling(state, g)
     _assert_unchanged(state, snapshot)
 
 
@@ -225,5 +219,5 @@ def test_accumulator_overflow_raises_and_state_kept(kind, history, data):
     big = data.draw(st.floats(OVERFLOW_FROM[kind], np.finfo(float).max))
     g[data.draw(st.integers(0, g.size - 1))] = data.draw(st.sampled_from([big, -big]))
     with np.errstate(over="ignore"), pytest.raises(NonFiniteValue):
-        update_scaling(state, g, len(history))
+        update_scaling(state, g)
     _assert_unchanged(state, snapshot)

@@ -154,7 +154,7 @@ class TestInterpolant:
 
     def test_symmetric_cubic_midpoint(self):
         knots = KnotSequence(
-            kind="sharp1", params={}, k_start=0,
+            kind="sharp1", k_start=0,
             x=np.array([0.0, 1.0]), f=np.array([0.0, 1.0]),
             g=np.array([0.0, 0.0]), s=np.array([1.0]), kappa_f=1.0,
             strategy=None)

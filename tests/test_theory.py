@@ -44,6 +44,15 @@ class TestSeriesLemma:
         with pytest.raises(InvalidParameter):
             series_bound_margins(np.array([-1.0]), 1.0, 0.5)
 
+    @pytest.mark.parametrize("alpha", [0.3, 1.7])
+    @pytest.mark.parametrize("margins", [series_bound_margins, series_corollary_margins])
+    def test_both_forms_reject_a_negative_term_and_xi_at_most_zero(self, margins, alpha):
+        with pytest.raises(InvalidParameter, match="nonnegative"):
+            margins(np.array([1.0, -1.0]), 1.0, alpha)
+        for xi in (0.0, -1.0, np.nan):
+            with pytest.raises(InvalidParameter, match="xi must be positive"):
+                margins(np.ones(3), xi, alpha)
+
     def test_suite_runs_clean(self):
         out = series_suite(n_sequences=100, seed=5)
         assert out["violations"] == 0
