@@ -129,6 +129,8 @@ def run_matrix(variants: Iterable[str], problems: Iterable[Problem],
     noise_levels = [float(v) for v in noise_levels]
     if not variants or not problems or not noise_levels:
         raise InvalidParameter("variants, problems and noise levels must be nonempty")
+    if not all(0.0 <= v < np.inf for v in noise_levels):  # NaN included
+        raise InvalidParameter(f"noise levels must be finite and >= 0, got {noise_levels}")
     if reps < 1:
         raise InvalidParameter("reps must be >= 1")
 

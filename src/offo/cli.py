@@ -4,8 +4,6 @@ constructions, and the theory-check battery."""
 from __future__ import annotations
 
 import argparse
-import json
-import math
 import sys
 
 from . import bench, driver, sharpness
@@ -14,6 +12,14 @@ from .driver import RunConfig, astr1, save_record
 from .errors import OffoError
 
 ALL_VARIANTS = [*driver.VARIANTS, "sdba"]
+
+
+def _listed(convert):
+    """argparse type of a comma-separated list, each entry ``convert``ed."""
+    def parse(text):
+        return [convert(s.strip()) for s in text.split(",")]
+    parse.__name__ = f"comma-separated {convert.__name__}"  # named in argparse's error
+    return parse
 
 
 def _add_solve(sub):
@@ -53,9 +59,11 @@ def _cmd_solve(args) -> int:
 
 def _add_bench(sub):
     p = sub.add_parser("bench", help="run the experiment matrix")
-    p.add_argument("--suite", default="all", help="'all' or comma-separated problem names")
-    p.add_argument("--variants", default=",".join(ALL_VARIANTS))
-    p.add_argument("--noise", default="0", help="comma-separated relative noise levels")
+    p.add_argument("--suite", default="all", type=_listed(str),
+                   help="'all' or comma-separated problem names")
+    p.add_argument("--variants", default=",".join(ALL_VARIANTS), type=_listed(str))
+    p.add_argument("--noise", default="0", type=_listed(float),
+                   help="comma-separated relative noise levels")
     p.add_argument("--reps", type=int, default=10)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--eps", type=float, default=1e-6)
@@ -65,10 +73,8 @@ def _add_bench(sub):
 
 
 def _cmd_bench(args) -> int:
-    names = None if args.suite == "all" else [s.strip() for s in args.suite.split(",")]
-    problems = load_suite(names)
-    variants = [s.strip() for s in args.variants.split(",")]
-    levels = [float(s) for s in args.noise.split(",")]
+    problems = load_suite(None if args.suite == ["all"] else args.suite)
+    variants, levels = args.variants, args.noise
     results = bench.run_matrix(variants, problems, levels, reps=args.reps,
                                master_seed=args.seed, eps=args.eps,
                                max_iter=args.max_iter)
@@ -138,11 +144,7 @@ def _cmd_check(args) -> int:
               f"{'vacuous, ' if c.get('vacuous') else ''}{c['violations']} violations, "
               f"min margin {c['min_margin']:.3g}, {c['seconds']:.1f}s")
     if args.out:
-        # strict JSON: a margin that does not exist (inf) is written as null
-        report = [{k: None if isinstance(v, float) and not math.isfinite(v) else v
-                   for k, v in c.items()} for c in checks]
-        with open(args.out, "w") as fh:
-            json.dump({"checks": report}, fh, indent=2, default=float, allow_nan=False)
+        driver.write_json({"checks": checks}, args.out)  # a missing margin (inf) is null
         print(f"report -> {args.out}")
     return 0 if all(c["passed"] for c in checks) else 2
 

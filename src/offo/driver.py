@@ -74,12 +74,14 @@ class RunConfig:
             raise InvalidParameter(f"unknown model {self.model!r}, expected one of {list(MODELS)}")
         if self.norm not in NORMS:
             raise InvalidParameter(f"unknown trust-region norm {self.norm!r}")
-        if self.eps <= 0:
-            raise InvalidParameter("eps must be > 0")
+        if not 0.0 < self.tau <= 1.0:
+            raise InvalidParameter(f"tau must lie in (0,1], got {self.tau}")
+        if not self.eps > 0:  # NaN included
+            raise InvalidParameter(f"eps must be > 0, got {self.eps}")
         if self.max_iter < 1:
             raise InvalidParameter("max_iter must be >= 1")
-        if self.noise_level < 0:
-            raise InvalidParameter("noise level must be >= 0")
+        if not 0.0 <= self.noise_level < math.inf:  # NaN included
+            raise InvalidParameter(f"noise level must be finite and >= 0, got {self.noise_level}")
 
 
 def variant_config(tag: str, **overrides) -> RunConfig:
@@ -362,5 +364,11 @@ def record_to_json(record: RunRecord) -> dict:
 
 
 def save_record(record: RunRecord, path: str) -> None:
+    write_json(record_to_json(record), path)
+
+
+def write_json(obj, path: str) -> None:
+    """Write ``obj`` as strict JSON: a NaN or infinite float becomes null."""
+    strict = json.loads(json.dumps(obj, default=float), parse_constant=lambda _: None)
     with open(path, "w") as fh:
-        json.dump(record_to_json(record), fh, indent=2)
+        json.dump(strict, fh, indent=2, allow_nan=False)

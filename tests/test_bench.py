@@ -89,6 +89,11 @@ class TestRunMatrix:
         with pytest.raises(InvalidParameter):
             run_matrix(["adagi1"], load_suite(["beale"]), [0.0], reps=0)
 
+    @pytest.mark.parametrize("level", [np.nan, np.inf, -0.1])
+    def test_level_out_of_range_rejected_before_any_run(self, level):
+        with pytest.raises(InvalidParameter, match="noise levels"):
+            run_matrix(["adagi1"], load_suite(["beale"]), [0.0, level])
+
 
 class TestProfileArea:
     def test_all_solved_at_best_cost(self):

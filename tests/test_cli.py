@@ -83,6 +83,24 @@ class TestBench:
         lines = out.read_text().strip().splitlines()
         assert len(lines) == 1 + 2 * 2 * 3
 
+    @pytest.mark.parametrize("noise", ["0,abc", "0,", "x"])
+    def test_bad_noise_list_is_a_usage_error(self, tmp_path, capsys, noise):
+        with pytest.raises(SystemExit) as exc:
+            main(["bench", "--suite", "beale", "--noise", noise,
+                  "--out", str(tmp_path / "r.csv"), "--stats", str(tmp_path / "s.csv")])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "argument --noise: invalid comma-separated float value" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "r.csv").exists()
+
+    def test_nonfinite_noise_level_is_a_library_error(self, tmp_path, capsys):
+        rc = main(["bench", "--suite", "beale", "--variants", "adagi1", "--noise", "0,nan",
+                   "--max-iter", "10", "--out", str(tmp_path / "r.csv"),
+                   "--stats", str(tmp_path / "s.csv")])
+        assert rc == 2
+        assert_one_line_error(capsys, "noise levels must be finite")
+
 
 class TestSharpness:
     def test_knots_and_verify(self, tmp_path, capsys):

@@ -14,6 +14,7 @@ from offo.driver import (
     fdecrease_margins,
     record_to_json,
     run_variant,
+    save_record,
     sdba,
     variant_config,
 )
@@ -343,6 +344,14 @@ class TestConfig:
         with pytest.raises(InvalidParameter):
             RunConfig(eps=0.0)
 
+    @pytest.mark.parametrize("field, value", [
+        ("eps", np.nan), ("noise_level", np.nan), ("noise_level", np.inf),
+        ("noise_level", -0.1), ("tau", 0.0), ("tau", -0.5), ("tau", 1.5), ("tau", np.nan),
+    ])
+    def test_out_of_range_value_rejected_when_built(self, field, value):
+        with pytest.raises(InvalidParameter, match=field.split("_")[0]):
+            RunConfig(**{field: value})
+
     @pytest.mark.parametrize("override", [{"model": "zero"}, {"model": "lbfgs"},
                                           {"model": "nope"}, {"norm": "2"},
                                           {"norm": "euclid"}])
@@ -416,3 +425,20 @@ class TestRecordJson:
         assert len(blob["trace"]["gnorm"]) <= TRACE_POINTS + 1
         assert blob["trace"]["k"][-1] == rows - 1
         assert blob["trace"]["f"] == rec.trace["f"][blob["trace"]["k"]].tolist()
+
+    def test_saved_record_is_strict_json(self, tmp_path):
+        import json
+
+        # exp(x.x) overflows at x0, so the run ends before any gradient norm exists
+        problem = Problem(name="expsq", n=2, x0=np.array([200.0, -200.0]),
+                          f=lambda x: float(np.exp(x @ x)), g=lambda x: 2.0 * x * np.exp(x @ x))
+        rec = astr1(problem, RunConfig(max_iter=10, keep_trace=True, record_f=True))
+        assert rec.status == "overflow-failure" and np.isnan(rec.final_gnorm)
+        save_record(rec, tmp_path / "run.json")
+
+        def reject(name):
+            raise ValueError(f"non-standard JSON constant {name}")
+
+        blob = json.loads((tmp_path / "run.json").read_text(), parse_constant=reject)
+        assert blob["final_gnorm"] is None
+        assert blob["x_final"] == [200.0, -200.0]
