@@ -40,9 +40,9 @@ def _add_solve(sub):
 
 def _cmd_solve(args) -> int:
     problem = load_suite([args.problem])[0]
+    # the JSON record reads only gnorm and f, which a run keeps without keep_trace
     overrides = dict(eps=args.eps, max_iter=args.max_iter, tau=args.tau,
-                     noise_level=args.noise, noise_seed=args.seed,
-                     keep_trace=args.trace is not None)
+                     noise_level=args.noise, noise_seed=args.seed)
     if args.model is not None:
         overrides["model"] = args.model
     if args.norm is not None:

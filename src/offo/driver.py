@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+from array import array
 from dataclasses import dataclass
 from typing import Optional
 
@@ -122,53 +123,66 @@ class RunRecord:
 
 
 class _Trace:
-    """Column-wise trace accumulator (iterate rows + step rows).
+    """Column-wise trace accumulator: one flat ``array("d")`` per column.
 
-    The loop never changes ``x``, ``w`` or ``s`` in place, so they
-    are kept as given; ``g`` is the oracle's output and is copied."""
+    ``gnorm`` and, with ``record_f``, ``f`` take one value per iterate;
+    with ``keep`` the rows ``x`` and ``g`` (n wide) follow each iterate and
+    ``w`` (``w_width`` wide: n for astr1, 0 for sdba), ``s`` (n wide) and
+    the value ``bnorm`` each step.  A row is appended as a copy of its
+    bytes, so the trace holds no array of the loop, and a gradient buffer
+    that the oracle reuses is copied before the next query overwrites it.
+    ``freeze`` views each column, without a copy, as a C-contiguous
+    float64 array, ``(rows, width)`` for the row columns."""
 
-    def __init__(self, keep, record_f):
+    def __init__(self, keep, record_f, n, w_width):
         self.keep = keep
         self.record_f = record_f
-        self.xs, self.gs, self.gnorms, self.fs = [], [], [], []
-        self.ws, self.ss, self.bnorms = [], [], []
+        self.n, self.w_width = n, w_width
+        self.gnorm, self.f, self.bnorm = array("d"), array("d"), array("d")
+        self.x, self.g, self.w, self.s = array("d"), array("d"), array("d"), array("d")
 
     def iterate(self, x, g, gnorm, f):
-        self.gnorms.append(gnorm)
+        self.gnorm.append(gnorm)
         if self.record_f:
-            self.fs.append(f)
+            self.f.append(f)
         if self.keep:
-            self.xs.append(x)
-            self.gs.append(g.copy())
+            self.x.frombytes(x.tobytes())
+            self.g.frombytes(g.tobytes())
 
     def step(self, w, s, bnorm):
         if self.keep:
-            self.ws.append(w)
-            self.ss.append(s)
-            self.bnorms.append(bnorm)
+            self.w.frombytes(w.tobytes())
+            self.s.frombytes(s.tobytes())
+            self.bnorm.append(bnorm)
 
     def freeze(self):
-        out = {"gnorm": np.asarray(self.gnorms)}
+        def view(col, *shape):
+            return np.frombuffer(col, dtype=np.float64).reshape(shape or (len(col),))
+
+        out = {"gnorm": view(self.gnorm)}
         if self.record_f:
-            out["f"] = np.asarray(self.fs)
+            out["f"] = view(self.f)
         if self.keep:
-            out["x"] = np.asarray(self.xs)
-            out["g"] = np.asarray(self.gs)
-            out["w"] = np.asarray(self.ws)
-            out["s"] = np.asarray(self.ss)
-            out["bnorm"] = np.asarray(self.bnorms)
+            iterates, steps, n = len(self.gnorm), len(self.bnorm), self.n
+            out["x"] = view(self.x, iterates, n)
+            out["g"] = view(self.g, iterates, n)
+            out["w"] = view(self.w, steps, self.w_width)
+            out["s"] = view(self.s, steps, n)
+            out["bnorm"] = view(self.bnorm)
         return out
 
 
-def _run(problem: Problem, config: RunConfig, want: tuple, step, variant) -> RunRecord:
+def _run(problem: Problem, config: RunConfig, want: tuple, step, variant,
+         w_width: int) -> RunRecord:
     """The iteration both methods share: query ``want`` at each iterate, stop
     on the gradient norm test or the budget, else step by
-    ``step(x, g, f, oracle, counters, trace)``.  A step of None ends the run
-    as ``stalled``, an overflow as ``overflow-failure`` (never raised)."""
+    ``step(x, g, f, oracle, counters, trace)``, whose kept ``w`` rows are
+    ``w_width`` wide.  A step of None ends the run as ``stalled``, an
+    overflow as ``overflow-failure`` (never raised)."""
     oracle = NoisyProblem(problem, config.noise_level, config.noise_seed)
     counters = {"sbound_violations": 0, "gcp_violations": 0,
                 "wfloor_violations": 0}
-    trace = _Trace(config.keep_trace, "value" in want)
+    trace = _Trace(config.keep_trace, "value" in want, problem.n, w_width)
 
     x = problem._checked(problem.x0, want)[0].copy()
     status = STATUS_BUDGET
@@ -269,7 +283,10 @@ def astr1(problem: Problem, config: RunConfig) -> RunRecord:
         return s
 
     want = ("value", "gradient") if config.record_f else ("gradient",)
-    return _run(problem, config, want, step, config.variant)
+    return _run(problem, config, want, step, config.variant, n)
+
+
+_NO_W = np.zeros(0)  # the empty scaling row of every sdba step
 
 
 def sdba(problem: Problem, config: RunConfig) -> RunRecord:
@@ -289,12 +306,12 @@ def sdba(problem: Problem, config: RunConfig) -> RunRecord:
                 if (trial == x).all():
                     break  # a step below the rounding of x: the search has stalled
                 s = alpha * d
-                trace.step(np.zeros(0), s, 0.0)
+                trace.step(_NO_W, s, 0.0)
                 return s
             alpha *= ARMIJO_FACTOR
         return None  # a stalled search ends the run
 
-    return _run(problem, config, ("value", "gradient"), step, config.variant or "sdba")
+    return _run(problem, config, ("value", "gradient"), step, config.variant or "sdba", 0)
 
 
 def run_variant(problem: Problem, tag: str, **overrides) -> RunRecord:

@@ -169,16 +169,18 @@ def _replay(kind, strategy, grads, f0, k_start, kappa_f) -> KnotSequence:
     step from knot j is s_j = |g_j| / w_j, with w_j from the driver's own
     scaling update, and the values follow f_{j+1} = f_j + g_j s_j."""
     state = init_scaling(strategy, 1)
-    x, f, s = [0.0], [float(f0)], []
+    steps = len(grads) - 1
+    x, f, s = np.empty(steps + 1), np.empty(steps + 1), np.empty(steps)
+    xj, fj = 0.0, float(f0)
+    x[0], f[0] = xj, fj
     gk = np.empty(1)
     for j, gj in enumerate(grads[:-1]):
         gk[0] = gj
         sj = abs(gj) / update_scaling(state, gk).item()
-        s.append(sj)
-        x.append(x[j] + sj)
-        f.append(f[j] + gj * sj)
-    return KnotSequence(kind, k_start, np.array(x), np.array(f), np.array(grads),
-                        np.array(s), kappa_f, strategy)
+        xj += sj
+        fj += gj * sj
+        s[j], x[j + 1], f[j + 1] = sj, xj, fj
+    return KnotSequence(kind, k_start, x, f, np.array(grads), s, kappa_f, strategy)
 
 
 class Interpolant:

@@ -7,8 +7,9 @@ from pathlib import Path
 import pytest
 
 import offo
-from offo import bench
+from offo import bench, driver
 from offo.cli import main
+from offo.problems import load_suite
 
 
 def assert_one_line_error(capsys, message):
@@ -53,6 +54,17 @@ class TestSolve:
         assert blob["problem"] == "booth"
         assert blob["status"] == "converged"
         assert blob["trace"]["gnorm"]
+
+    @pytest.mark.parametrize("variant", ["adagi1", "sdba", "lmadagi3b"])
+    def test_trace_file_is_the_json_of_a_kept_trace_run(self, tmp_path, capsys, variant):
+        path, kept = tmp_path / "run.json", tmp_path / "kept.json"
+        rc = main(["solve", "--problem", "rosenbr", "--variant", variant,
+                   "--max-iter", "300", "--noise", "0.05", "--seed", "3", "--trace", str(path)])
+        assert rc == 0
+        record = driver.run_variant(load_suite(["rosenbr"])[0], variant, max_iter=300,
+                                    noise_level=0.05, noise_seed=3, keep_trace=True)
+        driver.write_json(driver.record_to_json(record), kept)
+        assert path.read_bytes() == kept.read_bytes()
 
     def test_overrides(self, capsys):
         rc = main(["solve", "--problem", "booth", "--variant", "adagi1",

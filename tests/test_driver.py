@@ -1,8 +1,10 @@
 import warnings
+import weakref
 
 import numpy as np
 import pytest
 
+from offo import driver
 from offo.driver import (
     ARMIJO_MAX_BACKTRACKS,
     MODELS,
@@ -62,6 +64,59 @@ class TestAstr1HandTrace:
         keys = {"gnorm", "x", "g", "w", "s", "bnorm"} | ({"f"} if record_f else set())
         assert set(rec.trace) == keys
         assert len(rec.trace["w"]) == len(rec.trace["s"]) == len(rec.trace["bnorm"]) == rec.iters
+
+
+def expsq():
+    """exp(x.x) overflows at x0, so a run ends before any gradient norm exists."""
+    return Problem(name="expsq", n=2, x0=np.array([200.0, -200.0]),
+                   f=lambda x: float(np.exp(x @ x)), g=lambda x: 2.0 * x * np.exp(x @ x))
+
+
+class TestKeptTrace:
+    @pytest.mark.parametrize("tag, w_width", [("adagi1", 2), ("sdba", 0)])
+    @pytest.mark.parametrize("overflows_at_x0", [False, True])
+    def test_columns_are_c_contiguous_float64_rows_of_full_width(self, tag, w_width,
+                                                                 overflows_at_x0):
+        problem = expsq() if overflows_at_x0 else diag_quadratic([1.0, 4.0], [1.0, -1.0])
+        rec = run_variant(problem, tag, max_iter=20, keep_trace=True, record_f=True)
+        steps = rec.iters
+        iterates = 0 if overflows_at_x0 else steps + 1
+        assert (rec.status == "overflow-failure") == (steps == 0) == overflows_at_x0
+        assert {k: v.shape for k, v in rec.trace.items()} == {
+            "gnorm": (iterates,), "f": (iterates,), "x": (iterates, 2), "g": (iterates, 2),
+            "w": (steps, w_width), "s": (steps, 2), "bnorm": (steps,)}
+        for v in rec.trace.values():
+            assert v.dtype == np.float64 and v.flags.c_contiguous
+
+    def test_rows_are_copies_and_no_array_of_the_loop_outlives_its_iteration(self, monkeypatch):
+        # the gradient oracle overwrites and returns one buffer at every query
+        buf = np.empty(2)
+        made = []  # (iteration, weak reference) of every x, w and s of the loop
+        stale = []  # at each query, how many arrays of two or more iterations back are alive
+
+        def gradient(x):
+            k = len(stale)
+            stale.append(sum(ref() is not None for j, ref in made if j < k - 1))
+            made.append((k, weakref.ref(x)))
+            return np.multiply(x, [1.0, 4.0], out=buf)
+
+        def recorded(fn):
+            def wrapper(*args, **kwargs):
+                out = fn(*args, **kwargs)
+                made.append((len(stale) - 1, weakref.ref(out)))
+                return out
+            return wrapper
+
+        monkeypatch.setattr(driver, "update_scaling", recorded(driver.update_scaling))
+        monkeypatch.setattr(driver, "solve_tr_step", recorded(driver.solve_tr_step))
+        p = Problem(name="sharedbuf", n=2, x0=np.array([1.0, -1.0]),
+                    f=lambda x: 0.5 * (x[0] ** 2 + 4.0 * x[1] ** 2), g=gradient)
+        rec = astr1(p, variant_config("adagi1", eps=1e-30, keep_trace=True, max_iter=10))
+        tr = rec.trace
+        assert rec.iters == 10 and len(made) == 11 + 2 * 10
+        assert stale == [0] * 11
+        np.testing.assert_array_equal(tr["g"], tr["x"] * [1.0, 4.0])
+        assert len(set(tr["g"][:, 0])) == rec.iters + 1
 
 
 class TestDeterminism:
@@ -429,10 +484,7 @@ class TestRecordJson:
     def test_saved_record_is_strict_json(self, tmp_path):
         import json
 
-        # exp(x.x) overflows at x0, so the run ends before any gradient norm exists
-        problem = Problem(name="expsq", n=2, x0=np.array([200.0, -200.0]),
-                          f=lambda x: float(np.exp(x @ x)), g=lambda x: 2.0 * x * np.exp(x @ x))
-        rec = astr1(problem, RunConfig(max_iter=10, keep_trace=True, record_f=True))
+        rec = astr1(expsq(), RunConfig(max_iter=10, keep_trace=True, record_f=True))
         assert rec.status == "overflow-failure" and np.isnan(rec.final_gnorm)
         save_record(rec, tmp_path / "run.json")
 

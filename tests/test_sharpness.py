@@ -1,4 +1,5 @@
 import functools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -273,6 +274,19 @@ class TestVerify:
         knots = build_counterexample("sharp1", {"mu": 0.5, "eta": 0.01}, 100)
         report = verify_sharpness(knots, self._run(knots, 10))
         assert report["count"] == 11
+
+    def test_kept_retrace_peaks_at_a_small_multiple_of_its_trace(self):
+        # every kept column grows as one flat float64 buffer, not one ndarray per row
+        knots = build_counterexample("sharp1", {"mu": 0.5, "eta": 0.01, "varsigma": 0.01},
+                                     10_000)
+        tracemalloc.start()
+        try:
+            record = self._run(knots, 10_000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert record.iters == 10_000
+        assert peak <= 5 * sum(col.nbytes for col in record.trace.values())
 
     def test_mismatched_scaling_rejected(self):
         knots = build_counterexample("sharp1", {"mu": 0.5, "eta": 0.01}, 50)
