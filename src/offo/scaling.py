@@ -111,11 +111,11 @@ def init_scaling(strategy: ScalingStrategy, n: int) -> ScalingState:
 def update_scaling(state: ScalingState, g_k: np.ndarray) -> np.ndarray:
     """Fold the gradient ``g_k`` of iteration k = ``state.k + 1`` into the
     state and emit w_k; the first call is iteration 0.  A non-finite
-    ``g_k`` raises :class:`NonFiniteInput`, an overflowing accumulator
-    :class:`NonFiniteValue`; both leave ``state`` as it was.  Outside an
-    ``np.errstate``, NumPy warns of the overflow before the exception.
+    ``g_k`` (a float array) raises :class:`NonFiniteInput`, an overflowing
+    accumulator :class:`NonFiniteValue`; both leave ``state`` as it was.
+    Outside an ``np.errstate``, NumPy warns of the overflow before the
+    exception, and of an overflowing w.w when w is finite but above ~1e154.
     """
-    g_k = np.asarray(g_k, dtype=float)
     if g_k.shape != (state.n,):
         raise DimensionMismatch(f"gradient has shape {g_k.shape}, expected ({state.n},)")
     k = state.k + 1
@@ -135,7 +135,8 @@ def update_scaling(state: ScalingState, g_k: np.ndarray) -> np.ndarray:
     else:  # maxg-agg; the norm comes first so that max() keeps a NaN
         agg = max(euclidean_norm(g_k), agg)
         w = np.full(state.n, (k + 1) ** strat.nu * agg)
-    if np.count_nonzero(np.isfinite(w)) != w.size:
+    # w is finite when w.w is; only a w.w that overflows or is NaN needs the elementwise test
+    if not (w.dot(w) < math.inf or np.isfinite(w).all()):
         if not np.isfinite(g_k).all():
             raise NonFiniteInput("gradient contains NaN or inf")
         raise NonFiniteValue(f"{kind} accumulator overflowed at iteration {k}")

@@ -13,14 +13,16 @@ secondary real branch of the Lambert W function).
 from __future__ import annotations
 
 import csv
+import operator
 from dataclasses import dataclass
+from itertools import chain
 from typing import Optional
 
 import numpy as np
 
 from .errors import ConfigMismatch, InvalidParameter, OutOfDomain
 from .problems import Problem
-from .scaling import ScalingStrategy, init_scaling, update_scaling
+from .scaling import ScalingStrategy
 
 # even Bernoulli numbers B_2 .. B_16 for the Euler-Maclaurin tail
 _BERNOULLI = (1.0 / 6, -1.0 / 30, 1.0 / 42, -1.0 / 30,
@@ -120,13 +122,19 @@ def build_counterexample(kind: str, params: dict, K: int) -> KnotSequence:
 
     ``sharp1`` params: mu in (0,1), eta in (0,1], varsigma in (0,1].
     ``sharp2`` params: nu in (0,1), omega in (0.5*(1-nu), 1].
+    ``K`` is an integer (NumPy integers included) of at least 2.
 
-    The scaling factors are produced by the same accumulator code the driver
-    uses, so a driver run over the Hermite interpolant retraces the knots
-    bit for bit.
+    The scaling factors follow the driver's rule in closed form, pinned to
+    ``update_scaling`` by ``test_replay_matches_the_driver_rule_bit_for_bit``,
+    so a driver run over the Hermite interpolant retraces the knots bit for
+    bit.
     """
+    try:
+        K = operator.index(K)
+    except TypeError:
+        raise InvalidParameter(f"K must be an integer, got {K!r}") from None
     if K < 2:
-        raise InvalidParameter("need at least K = 2 steps")
+        raise InvalidParameter(f"need at least K = 2 steps, got K = {K}")
     if kind == "sharp1":
         return _build_sharp1(params, K)
     if kind == "sharp2":
@@ -141,7 +149,9 @@ def _build_sharp1(params: dict, K: int) -> KnotSequence:
     if not 0.0 < eta <= 1.0:
         raise InvalidParameter(f"eta must lie in (0,1], got {eta}")
     strategy = ScalingStrategy(kind="adagrad-comp", mu=mu, varsigma=varsigma, vartheta=1.0)
-    grads = [-2.0] + [-1.0 / k ** (0.5 + eta) for k in range(1, K + 1)]
+    # Python's power, not NumPy's: the two differ in the last bit for some k
+    e = 0.5 + eta
+    grads = np.fromiter(chain((-2.0,), (-1.0 / k**e for k in range(1, K + 1))), float, K + 1)
     f0 = 4.0 / (varsigma + 4.0) ** mu + zeta(1.0 + 2.0 * eta)
     kappa_f = max(1.5 * (varsigma + 5.0) ** mu, f0, 2.0)
     return _replay("sharp1", strategy, grads, f0, 0, kappa_f)
@@ -160,27 +170,44 @@ def _build_sharp2(params: dict, K: int) -> KnotSequence:
     # w_k = k^nu for k >= 1 is exactly the maxg rule with unit floor, since
     # every |g_k| <= 1 keeps the running max at the floor
     strategy = ScalingStrategy(kind="maxg-comp", mu=nu, nu=nu, varsigma=1.0)
-    grads = [-1.0 / k**omega for k in range(1, K + 2)]
+    grads = np.fromiter((-1.0 / k**omega for k in range(1, K + 2)), float, K + 1)
     return _replay("sharp2", strategy, grads, zeta(2.0 * omega + nu), 1, omega)
 
 
 def _replay(kind, strategy, grads, f0, k_start, kappa_f) -> KnotSequence:
     """Knots of the run that meets the prescribed gradients ``grads``: the
-    step from knot j is s_j = |g_j| / w_j, with w_j from the driver's own
-    scaling update, and the values follow f_{j+1} = f_j + g_j s_j."""
-    state = init_scaling(strategy, 1)
+    step from knot j is s_j = |g_j| / w_j, and the values follow
+    f_{j+1} = f_j + g_j s_j.  w_j is the driver's ``adagrad-comp`` or
+    ``maxg-comp`` rule in closed form: the loop's operations on the same
+    operands, with the sequential ``add.accumulate`` adding in the loop's
+    order.  Temporaries live in the output arrays.
+    """
     steps = len(grads) - 1
-    x, f, s = np.empty(steps + 1), np.empty(steps + 1), np.empty(steps)
-    xj, fj = 0.0, float(f0)
-    x[0], f[0] = xj, fj
-    gk = np.empty(1)
-    for j, gj in enumerate(grads[:-1]):
-        gk[0] = gj
-        sj = abs(gj) / update_scaling(state, gk).item()
-        xj += sj
-        fj += gj * sj
-        s[j], x[j + 1], f[j + 1] = sj, xj, fj
-    return KnotSequence(kind, k_start, x, f, np.array(grads), s, kappa_f, strategy)
+    g = grads[:steps]
+    x, f = np.empty(steps + 1), np.empty(steps + 1)
+    if strategy.kind == "adagrad-comp":
+        # w_j = (varsigma + sum_{l <= j} g_l^2) ** mu, NumPy's power as in update_scaling
+        w = np.multiply(g, g)
+        np.cumsum(w, out=w)
+        w += strategy.varsigma
+        w **= strategy.mu
+    else:  # maxg-comp: w_j = (j + 1) ** nu * max(varsigma, max_{l <= j} |g_l|)
+        # Python's power, as in update_scaling: NumPy's differs in the last bit for some j
+        nu = strategy.nu
+        w = np.fromiter(((k + 1) ** nu for k in range(steps)), float, steps)
+        runmax = x[1:]
+        np.abs(g, out=runmax)
+        np.maximum(runmax, strategy.varsigma, out=runmax)
+        np.maximum.accumulate(runmax, out=runmax)
+        w *= runmax
+    s = np.divide(np.abs(g, out=f[1:]), w, out=w)  # s_j = |g_j| / w_j, in w's buffer
+    x[0] = 0.0
+    x[1:] = s
+    np.cumsum(x, out=x)
+    f[0] = f0
+    np.multiply(g, s, out=f[1:])
+    np.cumsum(f, out=f)
+    return KnotSequence(kind, k_start, x, f, grads, s, kappa_f, strategy)
 
 
 class Interpolant:

@@ -47,8 +47,6 @@ def make_region(norm: str, g: np.ndarray, w: np.ndarray) -> TrustRegion:
     """Region defined by the scaled gradient: radii_i = |g_i| / w_i."""
     if norm not in NORMS:
         raise InvalidParameter(f"unknown trust-region norm {norm!r}")
-    g = np.asarray(g, dtype=float)
-    w = np.asarray(w, dtype=float)
     return TrustRegion(norm, np.abs(g) / w)
 
 
@@ -70,7 +68,6 @@ def model_value(g: np.ndarray, model: HessianModel, s: np.ndarray) -> float:
 
 def cauchy_point(g: np.ndarray, model: HessianModel, tr: TrustRegion) -> CauchyData:
     """Minimize the quadratic model along the scaled steepest descent step."""
-    g = np.asarray(g, dtype=float)
     # sL_i = -sgn(g_i) Delta_i; sgn(0) = 0 and Delta_i = 0 there anyway.
     # For the two-norm ball this is -g/w, which sits exactly on the sphere.
     sL = -np.sign(g) * tr.radii

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from offo.errors import DimensionMismatch, InvalidParameter, NonFiniteInput, NonFiniteValue
-from offo.scaling import ScalingStrategy, init_scaling, update_scaling
+from offo.scaling import ScalingStrategy, euclidean_norm, init_scaling, update_scaling
 
 
 def drive(strategy, gradients):
@@ -221,3 +221,68 @@ def test_accumulator_overflow_raises_and_state_kept(kind, history, data):
     with np.errstate(over="ignore"), pytest.raises(NonFiniteValue):
         update_scaling(state, g)
     _assert_unchanged(state, snapshot)
+
+
+def _update_scaling_reference(state, g_k):
+    """``update_scaling`` before its finiteness test became one w.w: the
+    elementwise test on every call, and ``g_k`` converted with np.asarray."""
+    g_k = np.asarray(g_k, dtype=float)
+    if g_k.shape != (state.n,):
+        raise DimensionMismatch(f"gradient has shape {g_k.shape}, expected ({state.n},)")
+    k = state.k + 1
+    strat = state.strategy
+    kind = strat.kind
+    acc, agg = state.acc, state.agg
+    if kind in ("adagrad-comp", "ewma-comp"):
+        acc = (strat.beta2 * acc if kind == "ewma-comp" else acc) + g_k * g_k
+        w = (strat.varsigma + acc) ** strat.mu
+    elif kind in ("adagrad-agg", "ewma-agg"):
+        agg = (strat.beta2 * agg if kind == "ewma-agg" else agg) + float(g_k.dot(g_k))
+        w = np.full(state.n, (strat.varsigma + agg) ** strat.mu)
+    elif kind == "maxg-comp":
+        acc = np.maximum(acc, np.abs(g_k))
+        w = (k + 1) ** strat.nu * acc
+    else:
+        agg = max(euclidean_norm(g_k), agg)
+        w = np.full(state.n, (k + 1) ** strat.nu * agg)
+    if np.count_nonzero(np.isfinite(w)) != w.size:
+        if not np.isfinite(g_k).all():
+            raise NonFiniteInput("gradient contains NaN or inf")
+        raise NonFiniteValue(f"{kind} accumulator overflowed at iteration {k}")
+    state.k, state.acc, state.agg = k, acc, agg
+    return w
+
+
+#: zeros of both signs, subnormals, values near overflow and non-finite values
+EDGE_VALUES = (0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -1e-310, 1e154, -1.3e154, 1.4e154,
+               1e307, -1.7e308, np.finfo(float).max, np.nan, np.inf, -np.inf)
+
+
+def edge_floats():
+    return st.one_of(st.sampled_from(EDGE_VALUES), st.floats(allow_subnormal=True))
+
+
+def _outcome(update, state, g):
+    """w's bytes or the exception's type, and the state afterwards."""
+    try:
+        got = update(state, g).tobytes()
+    except (NonFiniteInput, NonFiniteValue) as exc:
+        got = type(exc)
+    acc = None if state.acc is None else state.acc.tobytes()
+    return got, state.k, acc, state.agg
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_update_matches_the_elementwise_finiteness_test_byte_for_byte(kind, data):
+    n = data.draw(st.integers(1, 4))
+    steps = data.draw(st.integers(1, 5))
+    history = data.draw(st.lists(st.lists(edge_floats(), min_size=n, max_size=n),
+                                 min_size=steps, max_size=steps))
+    state, reference = init_scaling(_strategy(kind), n), init_scaling(_strategy(kind), n)
+    # under an errstate, as in the driver: near-overflow values warn in both
+    with np.errstate(all="ignore"):
+        for g in np.array(history, dtype=float):
+            assert _outcome(update_scaling, state, g) == _outcome(
+                _update_scaling_reference, reference, g)

@@ -3,15 +3,17 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import special
 
 from offo.driver import RunConfig, astr1, run_variant
 from offo.errors import ConfigMismatch, InvalidParameter, OutOfDomain
+from offo.scaling import ScalingStrategy, init_scaling, update_scaling
 from offo.sharpness import (
     Interpolant,
     KnotSequence,
+    _replay,
     build_counterexample,
     export_grid,
     export_knots,
@@ -142,6 +144,87 @@ class TestBuildSharp2:
         # nu is also the scaling rule's mu, which must lie in (0,1)
         with pytest.raises(InvalidParameter, match="nu must lie in"):
             build_counterexample("sharp2", {"nu": 1.0, "omega": 0.5}, 10)
+
+
+class TestBuild:
+    @pytest.mark.parametrize("K", [1e4, 10.0, 2.5, "10", None])
+    def test_non_integral_K_rejected_by_name(self, K):
+        with pytest.raises(InvalidParameter, match="K must be an integer"):
+            build_counterexample("sharp1", {}, K)
+
+    @pytest.mark.parametrize("kind", ["sharp1", "sharp2"])
+    def test_numpy_integer_K_accepted(self, kind):
+        knots = build_counterexample(kind, {}, np.int64(40))
+        same = build_counterexample(kind, {}, 40)
+        assert knots.knot_count == 41
+        for name in "xfgs":
+            assert getattr(knots, name).tobytes() == getattr(same, name).tobytes()
+
+    def test_sharp2_build_peaks_at_its_knot_arrays(self):
+        # the prescribed gradients are built in place, not as a K+1 float list
+        tracemalloc.start()
+        try:
+            knots = build_counterexample("sharp2", {"nu": 1.0 / 9.0, "omega": 4.0 / 9.0 + 0.01},
+                                         50_000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert knots.knot_count == 50_001
+        assert peak <= 2_000_000
+
+
+def _replay_by_update_scaling(strategy, grads, f0):
+    """Reference knots: the driver's own scaling update, one step at a time."""
+    state = init_scaling(strategy, 1)
+    x, f, s = [0.0], [float(f0)], []
+    for gj in grads[:-1]:
+        sj = abs(gj) / update_scaling(state, np.array([gj])).item()
+        s.append(sj)
+        x.append(x[-1] + sj)
+        f.append(f[-1] + gj * sj)
+    return np.array(s), np.array(x), np.array(f)
+
+
+#: exponents at which NumPy's array power and Python's ** disagree in the last
+#: bit for some k <= 500: sharp2's nu and omega, and sharp1's 1/2 + eta
+POWER_EXPONENTS = (1.0 / 9.0, 4.0 / 9.0 + 0.01, 0.51)
+
+
+def test_numpy_and_python_power_disagree_at_the_pinned_exponents():
+    k = np.arange(1, 501)
+    for e in POWER_EXPONENTS:
+        assert any(float(a) != int(b) ** e for a, b in zip(k ** e, k)), e
+
+
+@settings(max_examples=60, deadline=None)
+@given(kind=st.sampled_from(["sharp1", "sharp2"]),
+       rate=st.floats(0.01, 0.99),
+       varsigma=st.floats(0.001, 1.0),
+       steps=st.integers(1, 499),
+       exponent=st.one_of(st.sampled_from(POWER_EXPONENTS), st.floats(0.01, 2.0)),
+       data=st.data())
+@example(kind="sharp2", rate=1.0 / 9.0, varsigma=1.0, steps=499,
+         exponent=4.0 / 9.0 + 0.01, data=None)
+@example(kind="sharp1", rate=0.5, varsigma=0.01, steps=499, exponent=0.51, data=None)
+def test_replay_matches_the_driver_rule_bit_for_bit(kind, rate, varsigma, steps,
+                                                    exponent, data):
+    # rate is sharp1's mu or sharp2's nu; gradients are either the builders'
+    # -1/k**e, with Python's power, or arbitrary
+    if data is None or data.draw(st.booleans()):
+        grads = [-1.0 / k**exponent for k in range(1, steps + 2)]
+    else:
+        grads = data.draw(st.lists(st.floats(-1e6, 1e6, allow_subnormal=True),
+                                   min_size=steps + 1, max_size=steps + 1))
+    if kind == "sharp1":
+        strategy = ScalingStrategy(kind="adagrad-comp", mu=rate, varsigma=varsigma)
+    else:
+        strategy = ScalingStrategy(kind="maxg-comp", mu=rate, nu=rate, varsigma=varsigma)
+    f0 = 1.0 + exponent
+    knots = _replay(kind, strategy, np.array(grads), f0, 0, 1.0)
+    s, x, f = _replay_by_update_scaling(strategy, grads, f0)
+    assert knots.s.tobytes() == s.tobytes()
+    assert knots.x.tobytes() == x.tobytes()
+    assert knots.f.tobytes() == f.tobytes()
 
 
 class TestInterpolant:

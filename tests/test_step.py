@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,7 +7,7 @@ from hypothesis import strategies as st
 
 from offo.errors import DimensionMismatch, InvalidParameter, NonFiniteInput
 from offo.model import HessianModel, apply_model, update_model
-from offo.step import TrustRegion, cauchy_point, make_region, model_value, solve_tr_step
+from offo.step import CauchyData, TrustRegion, cauchy_point, make_region, model_value, solve_tr_step
 
 
 def bb_model(sigma, n):
@@ -248,3 +250,61 @@ class TestSolveBall:
 def test_unknown_norm_rejected():
     with pytest.raises(InvalidParameter):
         make_region("one", np.ones(2), np.ones(2))
+
+
+def _make_region_reference(norm, g, w):
+    """``make_region`` with its inputs converted by np.asarray, as it once did."""
+    return TrustRegion(norm, np.abs(np.asarray(g, dtype=float)) / np.asarray(w, dtype=float))
+
+
+def _cauchy_point_reference(g, model, tr):
+    """``cauchy_point`` with ``g`` converted by np.asarray, as it once did."""
+    g = np.asarray(g, dtype=float)
+    sL = -np.sign(g) * tr.radii
+    gsl = float(g.dot(sL))
+    if not math.isfinite(gsl) and not np.isfinite(g).all():
+        raise NonFiniteInput("gradient contains NaN or inf")
+    if model.is_zero and sL.shape == (model.n,):
+        return CauchyData(sL, sL)
+    curv = float(sL @ apply_model(model, sL))
+    gamma = min(1.0, abs(gsl) / curv) if curv > 0.0 else 1.0
+    return CauchyData(sL, gamma * sL)
+
+
+#: zeros of both signs, subnormals, values near overflow and non-finite values
+EDGE_VALUES = (0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -1e-310, 1e154, -1.3e154,
+               1e307, -1.7e308, np.finfo(float).max, np.nan, np.inf, -np.inf)
+
+
+def _edge_vectors(data, n, positive=False):
+    values = st.one_of(st.sampled_from(EDGE_VALUES), st.floats(allow_subnormal=True))
+    v = np.array(data.draw(st.lists(values, min_size=n, max_size=n)), dtype=float)
+    return np.abs(v) if positive else v
+
+
+def _cauchy_outcome(cauchy, g, model, tr):
+    try:
+        cp = cauchy(g, model, tr)
+    except NonFiniteInput:
+        return NonFiniteInput
+    return cp.sL.tobytes(), cp.sQ.tobytes()
+
+
+@pytest.mark.parametrize("norm", ["inf", "two"])
+@pytest.mark.parametrize("kind", ["zero", "bb"])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_region_and_cauchy_point_match_their_converting_forms_byte_for_byte(norm, kind, data):
+    n = data.draw(st.integers(1, 4))
+    g = _edge_vectors(data, n)
+    w = _edge_vectors(data, n, positive=True)
+    model = HessianModel("zero", n) if kind == "zero" else bb_model(2.0, n)
+    # under an errstate, as in the driver: inf * 0 and overflow warn in both forms
+    with np.errstate(all="ignore"):
+        tr = make_region(norm, g, w)
+        assert tr.norm == norm
+        assert tr.radii.tobytes() == _make_region_reference(norm, g, w).radii.tobytes()
+        radii = _edge_vectors(data, n, positive=True)
+        for region in (tr, TrustRegion(norm, radii)):
+            assert _cauchy_outcome(cauchy_point, g, model, region) == _cauchy_outcome(
+                _cauchy_point_reference, g, model, region)
