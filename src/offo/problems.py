@@ -164,8 +164,11 @@ class NoisyProblem:
 
     def _draws(self, query: int, kind: str, size=None):
         """Standard normals of the fresh (query, quantity) block: ``size`` of
-        them, or one float when ``size`` is None (the same first draw)."""
-        self._counter[0], self._counter[1] = query, self._KIND_INDEX[kind]
+        them, or one float when ``size`` is None (the same first draw).
+
+        The block starts at Philox counter ``[0, 0, kind, query]``.  Draws
+        advance the low words only, so no block reaches into another."""
+        self._counter[2], self._counter[3] = self._KIND_INDEX[kind], query
         self._bitgen.state = self._state
         return self._gen.standard_normal(size)
 

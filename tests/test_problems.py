@@ -170,10 +170,20 @@ class TestNoise:
         for query in (0, 7, 1000, 2**40):
             for index, kind in enumerate(("value", "gradient", "hessian")):
                 for size in (None, 1, 2, 9):
-                    philox = np.random.Philox(key=key, counter=[query, index, 0, 0])
+                    philox = np.random.Philox(key=key, counter=[0, 0, index, query])
                     expect = np.random.Generator(philox).standard_normal(size)
                     np.testing.assert_array_equal(noisy._draws(query, kind, size), expect)
                 assert noisy._draws(query, kind) == noisy._draws(query, kind, 1)[0]
+
+    @pytest.mark.parametrize("kind", ["value", "gradient", "hessian"])
+    def test_consecutive_queries_share_no_draw(self, kind):
+        """Up to a 12 x 12 Hessian's 144 draws, the block of query q + 1
+        holds none of the draws of query q."""
+        noisy = NoisyProblem(diag_quadratic([1.0], [1.0]), 0.1, 12345)
+        for query in (0, 1, 199):
+            for size in (1, 5, 8, 12, 100, 144):
+                now, then = noisy._draws(query, kind, size), noisy._draws(query + 1, kind, size)
+                assert np.intersect1d(now, then).size == 0
 
     def test_noise_changes_with_seed_and_query(self):
         (p,) = load_suite(["beale"])
