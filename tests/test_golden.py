@@ -4,7 +4,10 @@ runs behind the theory checks.
 For each of the 10 variants and 29 problems, at noise 0 and at one noisy
 replication (relative level 0.25, fixed seed), a 50-iteration run is reduced
 to ``(status, iters, evals, sha256(x_final bytes))`` and compared with the
-values stored in ``golden_outcomes.json``.  ``golden_theory.json`` pins the
+values stored in ``golden_outcomes.json``, which also records the NumPy version
+that wrote it: NumPy gives its normal sampler no stream guarantee across
+versions (NEP 19), so on a mismatch the noisy rows may move for that reason
+alone.  ``golden_theory.json`` pins the
 sha256 of the sharp1 (1e4 steps) and sharp2 (5e4 steps) knot arrays, of
 the sharp1 retrace's trace ``x`` and ``g``, and of one 2,000-iteration
 ``record_f`` run per model-free variant (one per scaling kind) on
@@ -58,6 +61,16 @@ def outcome(problem, tag: str, level: float) -> list:
 
 def _key(tag: str, level: float) -> str:
     return f"{tag}@{level!r}"
+
+
+def version_note(golden: dict) -> str:
+    """Names a NumPy version difference as the likely cause of a mismatch."""
+    pinned = golden.get("numpy")
+    if pinned == np.__version__:
+        return ""
+    return (f"; the rows were written with NumPy {pinned} and this is NumPy "
+            f"{np.__version__}, whose normal sampler may differ (NEP 19): "
+            "a version difference is the likely cause")
 
 
 def moved_fields(got: list, pinned: list) -> list:
@@ -122,7 +135,7 @@ def test_outcomes_match_pinned(golden, suite, tag, level):
              if (got := outcome(p, tag, level)) != pinned[p.name]}
     moved = {name: moved_fields(got, pin) for name, (got, pin) in diffs.items()}
     assert not diffs, (f"{len(diffs)} outcomes differ; moved fields by problem: {moved}; "
-                       f"(got, pinned): {diffs}")
+                       f"(got, pinned): {diffs}{version_note(golden)}")
 
 
 def test_theory_path_matches_pinned():
@@ -134,10 +147,11 @@ def test_theory_path_matches_pinned():
 
 
 def write_golden(path: Path = GOLDEN_PATH) -> None:
-    """One line per (variant, level, problem) so that diffs stay readable;
-    prints the moved fields of each stored row that changes."""
+    """One line per (variant, level, problem) so that diffs stay readable,
+    after the NumPy version; prints the moved fields of each stored row that
+    changes."""
     stored = json.loads(path.read_text()) if path.exists() else {}
-    blocks = []
+    blocks = [f" \"numpy\": {json.dumps(np.__version__)}"]
     for key, by_problem in sorted(compute_all().items()):
         for name, out in sorted(by_problem.items()):
             pinned = stored.get(key, {}).get(name)
