@@ -4,7 +4,9 @@ The suite is a low-dimensional subset of a classical unconstrained testing
 collection (More-Garbow-Hillstrom / CUTE style definitions), each problem
 carrying value/gradient/Hessian oracles, a standard starting point and a
 reference optimal value used by the success criterion of the benchmark
-harness.
+harness.  Each sum of squares is defined once, by its residuals and their
+Jacobian, and ``_least_squares`` derives f = r.r and g = 2 J'r from them.
+``NoisyProblem`` draws the noise of each query from its own Philox block.
 """
 
 from __future__ import annotations
@@ -137,13 +139,15 @@ class NoisyProblem:
     Those finite differences use the noise-free gradient; the noise is
     applied to the differenced Hessian, as to any other output.  Every
     oracle output component y is replaced by ``y * (1 + level * xi)``
-    where xi is a standard normal from a counter-based stream keyed by
-    (seed, query index, quantity); within one
-    query the draws are assigned to components in order, so which quantities
-    are requested together does not change any one quantity's noise.  Two
-    instances with equal (base, level, seed) produce identical outputs for
-    identical query sequences.  At level 0 the base outputs are returned
-    untouched, so the same class is the noiseless oracle.
+    where xi is a standard normal from a Philox stream keyed by the seed.
+    The block of a query and quantity starts at counter ``[0, 0, quantity,
+    query]`` and its draws advance only the low words, so no block reaches
+    into another.  Within one query the draws are assigned to components in
+    order, so which quantities are requested together does not change any
+    one quantity's noise.  Two instances with equal (base, level, seed)
+    produce identical outputs for identical query sequences.  At level 0 the
+    base outputs are returned untouched, so the same class is the noiseless
+    oracle.
     """
 
     _KIND_INDEX = {"value": 0, "gradient": 1, "hessian": 2}
@@ -164,10 +168,7 @@ class NoisyProblem:
 
     def _draws(self, query: int, kind: str, size=None):
         """Standard normals of the fresh (query, quantity) block: ``size`` of
-        them, or one float when ``size`` is None (the same first draw).
-
-        The block starts at Philox counter ``[0, 0, kind, query]``.  Draws
-        advance the low words only, so no block reaches into another."""
+        them, or one float when ``size`` is None (the same first draw)."""
         self._counter[2], self._counter[3] = self._KIND_INDEX[kind], query
         self._bitgen.state = self._state
         return self._gen.standard_normal(size)
@@ -239,6 +240,23 @@ def _register(builder):
     return builder
 
 
+def _least_squares(name, x0, residuals, h, f_ref, provenance) -> Problem:
+    """The sum-of-squares problem f = r.r, g = 2 J'r.
+
+    ``residuals(x, jac)`` returns the residual vector r, or ``(r, J)`` with
+    the Jacobian J[i, j] = dr_i/dx_j when ``jac`` is true.
+    """
+    def f(x):
+        r = residuals(x, False)
+        return float(r @ r)
+
+    def g(x):
+        r, jac = residuals(x, True)
+        return 2.0 * jac.T @ r
+
+    return Problem(name, x0.size, x0, f, g, h, f_ref, provenance)
+
+
 @_register
 def _arglina():
     n, m = 10, 20
@@ -287,35 +305,22 @@ def _arwhead():
     return Problem("arwhead", n, np.ones(n), f, g, h, 0.0, "literature")
 
 
-_BARD_Y = np.array([0.14, 0.18, 0.22, 0.25, 0.29, 0.32, 0.35, 0.39, 0.37,
-                    0.58, 0.73, 0.96, 1.34, 2.10, 4.39])
-
-
 @_register
 def _bard():
+    y = np.array([0.14, 0.18, 0.22, 0.25, 0.29, 0.32, 0.35, 0.39, 0.37,
+                  0.58, 0.73, 0.96, 1.34, 2.10, 4.39])
     u = np.arange(1.0, 16.0)
     v = 16.0 - u
     w = np.minimum(u, v)
 
-    def residuals(x):
+    def residuals(x, jac):
         d = v * x[1] + w * x[2]
-        return _BARD_Y - (x[0] + u / d), d
+        r = y - (x[0] + u / d)
+        if not jac:
+            return r
+        return r, np.column_stack((np.full(u.size, -1.0), u * v / d**2, u * w / d**2))
 
-    def f(x):
-        r, _ = residuals(x)
-        return float(r @ r)
-
-    def g(x):
-        r, d = residuals(x)
-        # d model / d x = (1, -u v / d^2, -u w / d^2)
-        jr = -2.0 * r
-        return np.array([
-            jr.sum(),
-            float(jr @ (-u * v / d**2)),
-            float(jr @ (-u * w / d**2)),
-        ])
-
-    return Problem("bard", 3, np.ones(3), f, g, None, 8.21487730657896e-3, "literature")
+    return _least_squares("bard", np.ones(3), residuals, None, 8.21487730657896e-3, "literature")
 
 
 @_register
@@ -323,29 +328,21 @@ def _beale():
     y = np.array([1.5, 2.25, 2.625])
     p = np.array([1.0, 2.0, 3.0])
 
-    def f(x):
+    def residuals(x, jac):
         r = y - x[0] * (1.0 - x[1] ** p)
-        return float(r @ r)
-
-    def g(x):
-        r = y - x[0] * (1.0 - x[1] ** p)
-        dr1 = -(1.0 - x[1] ** p)
-        dr2 = p * x[0] * x[1] ** (p - 1.0)
-        return np.array([2.0 * float(r @ dr1), 2.0 * float(r @ dr2)])
+        if not jac:
+            return r
+        return r, np.column_stack((-(1.0 - x[1] ** p), p * x[0] * x[1] ** (p - 1.0)))
 
     def h(x):
-        r = y - x[0] * (1.0 - x[1] ** p)
-        dr1 = -(1.0 - x[1] ** p)
-        dr2 = p * x[0] * x[1] ** (p - 1.0)
-        d12 = p * x[1] ** (p - 1.0)
-        d22 = p * (p - 1.0) * x[0] * x[1] ** (p - 2.0)
-        out = np.empty((2, 2))
-        out[0, 0] = 2.0 * float(dr1 @ dr1)
-        out[0, 1] = out[1, 0] = 2.0 * float(dr1 @ dr2 + r @ d12)
-        out[1, 1] = 2.0 * float(dr2 @ dr2 + r @ d22)
+        # 2 J'J plus 2 sum_i r_i times the Hessian of r_i
+        r, jac = residuals(x, True)
+        out = 2.0 * jac.T @ jac
+        out[0, 1] = out[1, 0] = out[0, 1] + 2.0 * float(r @ (p * x[1] ** (p - 1.0)))
+        out[1, 1] += 2.0 * float(r @ (p * (p - 1.0) * x[0] * x[1] ** (p - 2.0)))
         return out
 
-    return Problem("beale", 2, np.array([1.0, 1.0]), f, g, h, 0.0, "literature")
+    return _least_squares("beale", np.array([1.0, 1.0]), residuals, h, 0.0, "literature")
 
 
 @_register
@@ -353,17 +350,14 @@ def _booth():
     a = np.array([[1.0, 2.0], [2.0, 1.0]])
     b = np.array([7.0, 5.0])
 
-    def f(x):
+    def residuals(x, jac):
         r = a @ x - b
-        return float(r @ r)
-
-    def g(x):
-        return 2.0 * a.T @ (a @ x - b)
+        return (r, a) if jac else r
 
     def h(x):
         return 2.0 * a.T @ a
 
-    return Problem("booth", 2, np.zeros(2), f, g, h, 0.0, "literature")
+    return _least_squares("booth", np.zeros(2), residuals, h, 0.0, "literature")
 
 
 @_register
@@ -371,19 +365,14 @@ def _box3():
     t = 0.1 * np.arange(1.0, 11.0)
     c = np.exp(-t) - np.exp(-10.0 * t)
 
-    def f(x):
-        r = np.exp(-t * x[0]) - np.exp(-t * x[1]) - x[2] * c
-        return float(r @ r)
+    def residuals(x, jac):
+        e0, e1 = np.exp(-t * x[0]), np.exp(-t * x[1])
+        r = e0 - e1 - x[2] * c
+        if not jac:
+            return r
+        return r, np.column_stack((-t * e0, t * e1, -c))
 
-    def g(x):
-        r = np.exp(-t * x[0]) - np.exp(-t * x[1]) - x[2] * c
-        return np.array([
-            2.0 * float(r @ (-t * np.exp(-t * x[0]))),
-            2.0 * float(r @ (t * np.exp(-t * x[1]))),
-            2.0 * float(r @ (-c)),
-        ])
-
-    return Problem("box3", 3, np.array([0.0, 10.0, 20.0]), f, g, None, 0.0, "literature")
+    return _least_squares("box3", np.array([0.0, 10.0, 20.0]), residuals, None, 0.0, "literature")
 
 
 @_register
@@ -414,24 +403,14 @@ def _brownal():
 @_register
 def _broyden3d():
     n = 10
+    # the linear coupling: dr_i/dx_{i-1} = -1, dr_i/dx_{i+1} = -2
+    band = -np.eye(n, k=-1) - 2.0 * np.eye(n, k=1)
 
-    def residuals(x):
-        xm = np.concatenate(([0.0], x[:-1]))
-        xp = np.concatenate((x[1:], [0.0]))
-        return (3.0 - 2.0 * x) * x - xm - 2.0 * xp + 1.0
+    def residuals(x, jac):
+        r = (3.0 - 2.0 * x) * x + band @ x + 1.0
+        return (r, band + np.diag(3.0 - 4.0 * x)) if jac else r
 
-    def f(x):
-        r = residuals(x)
-        return float(r @ r)
-
-    def g(x):
-        r = residuals(x)
-        out = 2.0 * (3.0 - 4.0 * x) * r
-        out[:-1] += 2.0 * (-1.0) * r[1:]
-        out[1:] += 2.0 * (-2.0) * r[:-1]
-        return out
-
-    return Problem("broyden3d", n, -np.ones(n), f, g, None, 0.0, "literature")
+    return _least_squares("broyden3d", -np.ones(n), residuals, None, 0.0, "literature")
 
 
 @_register
@@ -551,29 +530,21 @@ def _dqartic():
 @_register
 def _freuroth():
     n = 4
+    # residuals i and i + n - 1 depend on x_i with slope 1 and on x_{i+1}
+    at_a, at_b = np.tile(np.eye(n - 1, n), (2, 1)), np.tile(np.eye(n - 1, n, k=1), (2, 1))
 
-    def residuals(x):
+    def residuals(x, jac):
         a, b = x[:-1], x[1:]
         r1 = -13.0 + a + ((5.0 - b) * b - 2.0) * b
         r2 = -29.0 + a + ((b + 1.0) * b - 14.0) * b
-        return r1, r2
-
-    def f(x):
-        r1, r2 = residuals(x)
-        return float(r1 @ r1 + r2 @ r2)
-
-    def g(x):
-        b = x[1:]
-        r1, r2 = residuals(x)
-        d1 = 10.0 * b - 3.0 * b**2 - 2.0
-        d2 = 3.0 * b**2 + 2.0 * b - 14.0
-        out = np.zeros(n)
-        out[:-1] += 2.0 * (r1 + r2)
-        out[1:] += 2.0 * (r1 * d1 + r2 * d2)
-        return out
+        r = np.concatenate((r1, r2))
+        if not jac:
+            return r
+        d = np.concatenate((10.0 * b - 3.0 * b**2 - 2.0, 3.0 * b**2 + 2.0 * b - 14.0))
+        return r, at_a + d[:, None] * at_b
 
     x0 = np.array([0.5, -2.0, 0.5, -2.0])
-    return Problem("freuroth", n, x0, f, g, None, 2.85503407977690, "reference-run")
+    return _least_squares("freuroth", x0, residuals, None, 2.85503407977690, "reference-run")
 
 
 @_register
@@ -626,17 +597,6 @@ def _integreq():
     hstep = 1.0 / (n + 1.0)
     t = hstep * np.arange(1.0, n + 1.0)
 
-    def residuals(x):
-        u = (x + t + 1.0) ** 3
-        lower = np.cumsum(t * u)                      # sum_{j<=i} t_j u_j
-        upper = np.cumsum(((1.0 - t) * u)[::-1])[::-1]  # sum_{j>=i} (1-t_j) u_j
-        upper_strict = upper - (1.0 - t) * u
-        return x + hstep * ((1.0 - t) * lower + t * upper_strict) / 2.0
-
-    def f(x):
-        r = residuals(x)
-        return float(r @ r)
-
     # hstep times the kernel weight of t_j in residual i
     hw = hstep * np.where(
         np.arange(n)[:, None] >= np.arange(n)[None, :],
@@ -645,65 +605,50 @@ def _integreq():
     )
     eye = np.eye(n)
 
-    def g(x):
-        r = residuals(x)
+    def residuals(x, jac):
+        u = (x + t + 1.0) ** 3
+        lower = np.cumsum(t * u)                      # sum_{j<=i} t_j u_j
+        upper = np.cumsum(((1.0 - t) * u)[::-1])[::-1]  # sum_{j>=i} (1-t_j) u_j
+        upper_strict = upper - (1.0 - t) * u
+        r = x + hstep * ((1.0 - t) * lower + t * upper_strict) / 2.0
+        if not jac:
+            return r
         du = 3.0 * (x + t + 1.0) ** 2
-        jac = eye + hw * du[None, :] / 2.0
-        return 2.0 * jac.T @ r
+        return r, eye + hw * du[None, :] / 2.0
 
-    x0 = t * (t - 1.0)
-    return Problem("integreq", n, x0, f, g, None, 0.0, "literature")
+    return _least_squares("integreq", t * (t - 1.0), residuals, None, 0.0, "literature")
 
 
 @_register
 def _jensmp():
     i = np.arange(1.0, 11.0)
 
-    def f(x):
-        r = 2.0 + 2.0 * i - (np.exp(i * x[0]) + np.exp(i * x[1]))
-        return float(r @ r)
+    def residuals(x, jac):
+        e0, e1 = np.exp(i * x[0]), np.exp(i * x[1])
+        r = 2.0 + 2.0 * i - (e0 + e1)
+        return (r, np.column_stack((-i * e0, -i * e1))) if jac else r
 
-    def g(x):
-        r = 2.0 + 2.0 * i - (np.exp(i * x[0]) + np.exp(i * x[1]))
-        return np.array([
-            2.0 * float(r @ (-i * np.exp(i * x[0]))),
-            2.0 * float(r @ (-i * np.exp(i * x[1]))),
-        ])
-
-    return Problem("jensmp", 2, np.array([0.3, 0.4]), f, g, None, 124.362182355615, "literature")
-
-
-_KOWOSB_Y = np.array([0.1957, 0.1947, 0.1735, 0.1600, 0.0844, 0.0627,
-                      0.0456, 0.0342, 0.0323, 0.0235, 0.0246])
-_KOWOSB_U = np.array([4.0, 2.0, 1.0, 0.5, 0.25, 0.167, 0.125, 0.1,
-                      0.0833, 0.0714, 0.0625])
+    return _least_squares("jensmp", np.array([0.3, 0.4]), residuals, None, 124.362182355615,
+                          "literature")
 
 
 @_register
 def _kowosb():
-    y, u = _KOWOSB_Y, _KOWOSB_U
+    y = np.array([0.1957, 0.1947, 0.1735, 0.1600, 0.0844, 0.0627,
+                  0.0456, 0.0342, 0.0323, 0.0235, 0.0246])
+    u = np.array([4.0, 2.0, 1.0, 0.5, 0.25, 0.167, 0.125, 0.1,
+                  0.0833, 0.0714, 0.0625])
 
-    def f(x):
-        num = u * (u + x[1])
+    def residuals(x, jac):
         den = u * (u + x[2]) + x[3]
-        r = y - x[0] * num / den
-        return float(r @ r)
-
-    def g(x):
-        num = u * (u + x[1])
-        den = u * (u + x[2]) + x[3]
-        model = x[0] * num / den
-        r = y - model
-        jr = -2.0 * r
-        return np.array([
-            float(jr @ (num / den)),
-            float(jr @ (x[0] * u / den)),
-            float(jr @ (-x[0] * num * u / den**2)),
-            float(jr @ (-x[0] * num / den**2)),
-        ])
+        q = u * (u + x[1]) / den  # the model over x[0]
+        r = y - x[0] * q
+        if not jac:
+            return r
+        return r, -np.column_stack((q, x[0] * u / den, -x[0] * q * u / den, -x[0] * q / den))
 
     x0 = np.array([0.25, 0.39, 0.415, 0.39])
-    return Problem("kowosb", 4, x0, f, g, None, 3.07505603849239e-4, "literature")
+    return _least_squares("kowosb", x0, residuals, None, 3.07505603849239e-4, "literature")
 
 
 @_register
@@ -712,75 +657,45 @@ def _morebv():
     hstep = 1.0 / (n + 1.0)
     t = hstep * np.arange(1.0, n + 1.0)
 
-    def residuals(x):
-        xm = np.concatenate(([0.0], x[:-1]))
-        xp = np.concatenate((x[1:], [0.0]))
-        return 2.0 * x - xm - xp + hstep**2 * (x + t + 1.0) ** 3 / 2.0
+    # the linear coupling: dr_i/dx_{i-1} = dr_i/dx_{i+1} = -1
+    band = -np.eye(n, k=-1) - np.eye(n, k=1)
 
-    def f(x):
-        r = residuals(x)
-        return float(r @ r)
+    def residuals(x, jac):
+        r = 2.0 * x + band @ x + hstep**2 * (x + t + 1.0) ** 3 / 2.0
+        if not jac:
+            return r
+        return r, band + np.diag(2.0 + 1.5 * hstep**2 * (x + t + 1.0) ** 2)
 
-    def g(x):
-        r = residuals(x)
-        diag = 2.0 + 1.5 * hstep**2 * (x + t + 1.0) ** 2
-        out = 2.0 * diag * r
-        out[:-1] += 2.0 * (-1.0) * r[1:]
-        out[1:] += 2.0 * (-1.0) * r[:-1]
-        return out
-
-    x0 = t * (t - 1.0)
-    return Problem("morebv", n, x0, f, g, None, 0.0, "literature")
-
-
-_OSBORNEB_Y = np.array([
-    1.366, 1.191, 1.112, 1.013, 0.991, 0.885, 0.831, 0.847, 0.786, 0.725,
-    0.746, 0.679, 0.608, 0.655, 0.616, 0.606, 0.602, 0.626, 0.651, 0.724,
-    0.649, 0.649, 0.694, 0.644, 0.624, 0.661, 0.612, 0.558, 0.533, 0.495,
-    0.500, 0.423, 0.395, 0.375, 0.372, 0.391, 0.396, 0.405, 0.428, 0.429,
-    0.523, 0.562, 0.607, 0.653, 0.672, 0.708, 0.633, 0.668, 0.645, 0.632,
-    0.591, 0.559, 0.597, 0.625, 0.739, 0.710, 0.729, 0.720, 0.636, 0.581,
-    0.428, 0.292, 0.162, 0.098, 0.054,
-])
+    return _least_squares("morebv", t * (t - 1.0), residuals, None, 0.0, "literature")
 
 
 @_register
 def _osborneb():
-    y = _OSBORNEB_Y
+    y = np.array([
+        1.366, 1.191, 1.112, 1.013, 0.991, 0.885, 0.831, 0.847, 0.786, 0.725,
+        0.746, 0.679, 0.608, 0.655, 0.616, 0.606, 0.602, 0.626, 0.651, 0.724,
+        0.649, 0.649, 0.694, 0.644, 0.624, 0.661, 0.612, 0.558, 0.533, 0.495,
+        0.500, 0.423, 0.395, 0.375, 0.372, 0.391, 0.396, 0.405, 0.428, 0.429,
+        0.523, 0.562, 0.607, 0.653, 0.672, 0.708, 0.633, 0.668, 0.645, 0.632,
+        0.591, 0.559, 0.597, 0.625, 0.739, 0.710, 0.729, 0.720, 0.636, 0.581,
+        0.428, 0.292, 0.162, 0.098, 0.054,
+    ])
     t = np.arange(65.0) / 10.0
 
-    def pieces(x):
-        e1 = np.exp(-t * x[4])
-        e2 = np.exp(-((t - x[8]) ** 2) * x[5])
-        e3 = np.exp(-((t - x[9]) ** 2) * x[6])
-        e4 = np.exp(-((t - x[10]) ** 2) * x[7])
-        return e1, e2, e3, e4
-
-    def f(x):
-        e1, e2, e3, e4 = pieces(x)
-        r = y - (x[0] * e1 + x[1] * e2 + x[2] * e3 + x[3] * e4)
-        return float(r @ r)
-
-    def g(x):
-        e1, e2, e3, e4 = pieces(x)
-        r = y - (x[0] * e1 + x[1] * e2 + x[2] * e3 + x[3] * e4)
-        jr = -2.0 * r
-        return np.array([
-            float(jr @ e1),
-            float(jr @ e2),
-            float(jr @ e3),
-            float(jr @ e4),
-            float(jr @ (-t * x[0] * e1)),
-            float(jr @ (-((t - x[8]) ** 2) * x[1] * e2)),
-            float(jr @ (-((t - x[9]) ** 2) * x[2] * e3)),
-            float(jr @ (-((t - x[10]) ** 2) * x[3] * e4)),
-            float(jr @ (2.0 * (t - x[8]) * x[5] * x[1] * e2)),
-            float(jr @ (2.0 * (t - x[9]) * x[6] * x[2] * e3)),
-            float(jr @ (2.0 * (t - x[10]) * x[7] * x[3] * e4)),
-        ])
+    def residuals(x, jac):
+        # the model: x[0] exp(-t x[4]) plus three Gaussians with amplitudes
+        # x[1:4], widths x[5:8] and centres x[8:11]
+        d = t[:, None] - x[8:11]
+        e = np.column_stack((np.exp(-t * x[4]), np.exp(-(d**2) * x[5:8])))
+        r = y - e @ x[:4]
+        if not jac:
+            return r
+        a = x[1:4] * e[:, 1:]
+        # minus the model's derivatives
+        return r, -np.column_stack((e, -t * x[0] * e[:, 0], -(d**2) * a, 2.0 * d * x[5:8] * a))
 
     x0 = np.array([1.3, 0.65, 0.65, 0.7, 0.6, 3.0, 5.0, 7.0, 2.0, 4.5, 5.5])
-    return Problem("osborneb", 11, x0, f, g, None, 4.01377362935477e-2, "literature")
+    return _least_squares("osborneb", x0, residuals, None, 4.01377362935477e-2, "literature")
 
 
 @_register
@@ -940,28 +855,22 @@ def _watson():
     n = 12
     t = np.arange(1.0, 30.0) / 29.0
     powers = t[:, None] ** np.arange(n)[None, :]          # t^(j-1)
-    dpowers = np.arange(1, n)[None, :] * t[:, None] ** np.arange(n - 1)[None, :]
+    dpowers = np.arange(n)[None, :] * t[:, None] ** np.arange(-1, n - 1)[None, :]  # d/dt
 
-    def f(x):
+    def residuals(x, jac):
+        # 29 residuals at t_i, then x_1 and x_2 - x_1^2 - 1
         bsum = powers @ x
-        asum = dpowers @ x[1:]
-        r = asum - bsum**2 - 1.0
-        return float(r @ r + x[0] ** 2 + (x[1] - x[0] ** 2 - 1.0) ** 2)
+        r = np.concatenate((dpowers @ x - bsum**2 - 1.0, [x[0], x[1] - x[0] ** 2 - 1.0]))
+        if not jac:
+            return r
+        out = np.zeros((31, n))
+        out[:29] = dpowers - 2.0 * bsum[:, None] * powers
+        out[29, 0] = out[30, 1] = 1.0
+        out[30, 0] = -2.0 * x[0]
+        return r, out
 
-    def g(x):
-        bsum = powers @ x
-        asum = dpowers @ x[1:]
-        r = asum - bsum**2 - 1.0
-        jac = np.zeros((29, n))
-        jac[:, 1:] = dpowers
-        jac -= 2.0 * bsum[:, None] * powers
-        out = 2.0 * jac.T @ r
-        r31 = x[1] - x[0] ** 2 - 1.0
-        out[0] += 2.0 * x[0] - 4.0 * x[0] * r31
-        out[1] += 2.0 * r31
-        return out
-
-    return Problem("watson", n, np.zeros(n), f, g, None, 4.72238110338512e-10, "literature")
+    return _least_squares("watson", np.zeros(n), residuals, None, 4.72238110338512e-10,
+                          "literature")
 
 
 @_register
