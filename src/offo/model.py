@@ -10,7 +10,7 @@ Four kinds are supported:
   oldest pair first, and stored as a dense matrix,
 * ``exact``  the problem's own (symmetrised) Hessian at the new iterate.
 
-Every kind enforces the spectral-norm cap ``kappaB`` by rescaling the whole
+Every kind enforces the spectral-norm cap ``KAPPA_B`` by rescaling the whole
 operator, which preserves symmetry.  The norm it caps is exact: sigma for
 ``bb`` and the largest eigenvalue magnitude of the dense matrix for
 ``lbfgs`` and ``exact``, computed once per update.  Storing the matrix costs
@@ -34,6 +34,9 @@ LBFGS_PAIRS = 3
 #: relative curvature threshold below which a secant pair is discarded
 CURVATURE_MIN = 1e-15
 
+#: the cap on ||B_k||_2 that every kind enforces (the paper's kappa_B)
+KAPPA_B = 1e6
+
 
 @dataclass
 class HessianModel:
@@ -42,7 +45,6 @@ class HessianModel:
 
     kind: str
     n: int
-    kappaB: float = 1e6
     sigma: float = 0.0  # the bb scalar
     pairs: list = field(default_factory=list)  # lbfgs (s, y) ring buffer, oldest first
     dense: np.ndarray = None  # lbfgs and exact: the symmetric matrix before rescaling
@@ -52,8 +54,6 @@ class HessianModel:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise InvalidParameter(f"unknown model kind {self.kind!r}")
-        if self.kappaB < 1.0:
-            raise InvalidParameter(f"kappaB must be >= 1, got {self.kappaB}")
 
     @property
     def is_zero(self) -> bool:
@@ -139,6 +139,6 @@ def _dense_norm(dense: np.ndarray) -> float:
 
 
 def _cap(model: HessianModel, norm: float) -> None:
-    """Rescale the operator of exact norm ``norm`` to ||B||_2 <= kappaB."""
-    model.scale = model.kappaB / norm if norm > model.kappaB else 1.0
+    """Rescale the operator of exact norm ``norm`` to ||B||_2 <= KAPPA_B."""
+    model.scale = KAPPA_B / norm if norm > KAPPA_B else 1.0
     model.bnorm = model.scale * norm

@@ -6,8 +6,8 @@ accumulator (built from Euclidean gradient norms) across all coordinates:
 
 * ``adagrad-comp``  w_i = (sigma + sum_l g_{i,l}^2)^mu            (variant ``adagi1``)
 * ``adagrad-agg``   w_i = (sigma + sum_l ||g_l||^2)^mu            (variant ``adag1``)
-* ``ewma-comp``     same as adagrad-comp with beta2 discounting   (variant ``adagi2``)
-* ``ewma-agg``      same as adagrad-agg with beta2 discounting    (variant ``adag2``)
+* ``ewma-comp``     same as adagrad-comp, discounted by EWMA_BETA2 (variant ``adagi2``)
+* ``ewma-agg``      same as adagrad-agg, discounted by EWMA_BETA2  (variant ``adag2``)
 * ``maxg-comp``     w_i = (k+1)^nu * max(sigma, max_l |g_{i,l}|)  (variant ``maxgi01``)
 * ``maxg-agg``      w_i = (k+1)^nu * max(sigma, max_l ||g_l||)    (variant ``maxg01``)
 
@@ -25,6 +25,9 @@ from .errors import DimensionMismatch, InvalidParameter, NonFiniteInput, NonFini
 
 #: the scaling kinds, as ``ScalingStrategy.kind`` names them
 KINDS = ("adagrad-comp", "adagrad-agg", "ewma-comp", "ewma-agg", "maxg-comp", "maxg-agg")
+
+#: the discount of the ewma kinds' accumulators
+EWMA_BETA2 = 0.9
 
 #: largest n * max|g_i|^2 for which g.g surely cannot overflow
 _DOT_LIMIT = 0.5 * float(np.finfo(float).max)
@@ -47,16 +50,13 @@ class ScalingStrategy:
     """Parameters of one scaling rule.
 
     ``mu`` is the accumulator exponent, ``nu`` the iteration-power exponent of
-    the maxg kinds, ``varsigma`` the positive floor constant, ``vartheta`` the
-    admissible-interval width parameter and ``beta2`` the EWMA discount.
+    the maxg kinds and ``varsigma`` the positive floor constant.
     """
 
     kind: str
     mu: float = 0.5
     nu: float = 0.1
     varsigma: float = 0.01
-    vartheta: float = 1.0
-    beta2: float = 0.9
 
     def __post_init__(self):
         if self.kind not in KINDS:
@@ -65,10 +65,6 @@ class ScalingStrategy:
             raise InvalidParameter(f"mu must lie in (0,1), got {self.mu}")
         if not 0.0 < self.varsigma <= 1.0:
             raise InvalidParameter(f"varsigma must lie in (0,1], got {self.varsigma}")
-        if not 0.0 < self.vartheta <= 1.0:
-            raise InvalidParameter(f"vartheta must lie in (0,1], got {self.vartheta}")
-        if self.kind.startswith("ewma") and not 0.0 < self.beta2 < 1.0:
-            raise InvalidParameter(f"beta2 must lie in (0,1), got {self.beta2}")
         if self.kind.startswith("maxg") and not 0.0 < self.nu <= self.mu:
             raise InvalidParameter(
                 f"maxg kinds need 0 < nu <= mu < 1, got nu={self.nu}, mu={self.mu}"
@@ -76,10 +72,11 @@ class ScalingStrategy:
 
     @property
     def floor(self) -> float:
-        """Proven lower bound on every emitted w_{i,k} (the AS.5 constant)."""
+        """Proven lower bound on every emitted w_{i,k}: the AS.5 constant at
+        vartheta = 1, since every rule emits the top of its admissible interval."""
         if self.kind.startswith("maxg"):
             return self.varsigma
-        return self.varsigma**self.mu * np.sqrt(self.vartheta)
+        return self.varsigma**self.mu
 
 
 @dataclass
@@ -124,10 +121,10 @@ def update_scaling(state: ScalingState, g_k: np.ndarray) -> np.ndarray:
     acc, agg = state.acc, state.agg
     # a NaN or inf in g_k reaches w in every branch, so w's check covers g_k
     if kind in ("adagrad-comp", "ewma-comp"):
-        acc = (strat.beta2 * acc if kind == "ewma-comp" else acc) + g_k * g_k
+        acc = (EWMA_BETA2 * acc if kind == "ewma-comp" else acc) + g_k * g_k
         w = (strat.varsigma + acc) ** strat.mu
     elif kind in ("adagrad-agg", "ewma-agg"):
-        agg = (strat.beta2 * agg if kind == "ewma-agg" else agg) + float(g_k.dot(g_k))
+        agg = (EWMA_BETA2 * agg if kind == "ewma-agg" else agg) + float(g_k.dot(g_k))
         w = np.full(state.n, (strat.varsigma + agg) ** strat.mu)
     elif kind == "maxg-comp":
         acc = np.maximum(acc, np.abs(g_k))

@@ -148,7 +148,7 @@ def _build_sharp1(params: dict, K: int) -> KnotSequence:
     varsigma = float(params.get("varsigma", 0.01))
     if not 0.0 < eta <= 1.0:
         raise InvalidParameter(f"eta must lie in (0,1], got {eta}")
-    strategy = ScalingStrategy(kind="adagrad-comp", mu=mu, varsigma=varsigma, vartheta=1.0)
+    strategy = ScalingStrategy(kind="adagrad-comp", mu=mu, varsigma=varsigma)
     # Python's power, not NumPy's: the two differ in the last bit for some k
     e = 0.5 + eta
     grads = np.fromiter(chain((-2.0,), (-1.0 / k**e for k in range(1, K + 1))), float, K + 1)
@@ -214,8 +214,8 @@ class Interpolant:
     """Piecewise cubic matching prescribed values and slopes at the knots.
 
     On each interval the unique cubic through (f_k, g_k, f_{k+1}, g_{k+1});
-    past the last knot a constant-slope linear extension.  Queries left of the
-    first knot raise :class:`OutOfDomain`.
+    past the last knot a constant-slope linear extension.  Queries are scalar;
+    those left of the first knot raise :class:`OutOfDomain`.
     """
 
     def __init__(self, knots: KnotSequence):
@@ -229,33 +229,22 @@ class Interpolant:
         self._c3 = (g[:-1] + g[1:] - 2.0 * df) / (h * h)
         self._last = len(x) - 1
         self._first_x, self._last_x = x.item(0), x.item(self._last)
-        self._i = 0  # the interval of the last scalar query inside the knots
+        self._i = 0  # the interval of the last query inside the knots
 
-    def __call__(self, x, order: int = 0):
-        """Evaluate the interpolant (order 0), slope (1) or curvature (2)."""
+    def __call__(self, x: float, order: int = 0) -> float:
+        """Evaluate the interpolant (order 0), slope (1) or curvature (2) at x."""
         if order not in (0, 1, 2):
             raise InvalidParameter("order must be 0, 1 or 2")
-        if isinstance(x, float) or np.ndim(x) == 0:
-            return self._at(float(x), order)
-        xv = np.asarray(x, dtype=float)
-        xs, f, g = self.knots.x, self.knots.f, self.knots.g
-        if np.any(xv < xs[0]):
-            raise OutOfDomain("query left of the first knot")
-        idx = np.clip(np.searchsorted(xs, xv, side="right") - 1, 0, len(xs) - 2)
-        out = _cubic(order, xv - xs[idx], f[idx], g[idx], self._c2[idx], self._c3[idx])
-        beyond = xv >= xs[-1]
-        if np.any(beyond):
-            out[beyond] = _linear(order, xv[beyond] - xs[-1], f[-1], g[-1])
-        return out
+        return self._at(float(x), order)
 
     def _at(self, x: float, order: int) -> float:
-        """Scalar query: the same formulas on plain floats.
+        """The query on plain floats, with ``order`` unchecked.
 
         The interval ``i`` with ``xs[i] <= x < xs[i+1]`` is found by walking
         right from the last query's interval, so a nondecreasing sequence of
         queries, such as a retrace, does not search the knots; a query left of
-        that interval searches them as the array path does.  A NaN keeps the
-        last interval and evaluates to NaN, as on the array path.
+        that interval searches them.  A NaN keeps the last interval and
+        evaluates to NaN.
         """
         if x < self._first_x:
             raise OutOfDomain("query left of the first knot")
@@ -275,11 +264,7 @@ class Interpolant:
 
 
 def _cubic(order, t, f0, g0, c2, c3):
-    """f0 + g0 t + c2 t^2 + c3 t^3 or its first or second derivative.
-
-    t^3 is a product, not ``t**3``: NumPy's vectorised power can differ from
-    the C library's in the last bit, and scalar and array queries must agree.
-    """
+    """f0 + g0 t + c2 t^2 + c3 t^3 or its first or second derivative."""
     if order == 0:
         return f0 + g0 * t + c2 * t * t + c3 * t * t * t
     if order == 1:
@@ -358,19 +343,18 @@ def export_grid(knots: KnotSequence, path: str, num: Optional[int] = None,
 
     ``shift_f0_to`` adds a constant so the first value lands there (display
     convenience; slopes are untouched).  Default resolution is 2000 points
-    per decade of the knot count.
+    per decade of the knot count; ``num`` must be at least 1.
     """
-    fn = Interpolant(knots)
+    at = Interpolant(knots)._at
     if num is None:
         num = 2000 * max(1, int(np.ceil(np.log10(knots.knot_count))))
-    grid = np.linspace(knots.x[0], knots.x[-1], num)
-    vals = fn(grid, 0)
-    if shift_f0_to is not None:
-        vals = vals + (shift_f0_to - knots.f[0])
-    slopes = fn(grid, 1)
-    curvs = fn(grid, 2)
+    if num < 1:
+        raise InvalidParameter(f"the grid needs at least 1 point, got {num}")
+    # v + -0.0 is v bit for bit, -0.0 included
+    shift = -0.0 if shift_f0_to is None else shift_f0_to - knots.f.item(0)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["x", "f", "fprime", "fsecond"])
-        for row in zip(grid, vals, slopes, curvs):
-            writer.writerow([repr(float(v)) for v in row])
+        for x in np.linspace(knots.x[0], knots.x[-1], num).tolist():
+            row = (x, at(x, 0) + shift, at(x, 1), at(x, 2))
+            writer.writerow([repr(v) for v in row])

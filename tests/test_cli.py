@@ -106,6 +106,13 @@ class TestBench:
         assert "Traceback" not in err
         assert not (tmp_path / "r.csv").exists()
 
+    def test_negative_seed_is_a_library_error(self, tmp_path, capsys):
+        rc = main(["bench", "--suite", "beale", "--variants", "adagi1", "--seed", "-1",
+                   "--max-iter", "10", "--out", str(tmp_path / "r.csv"),
+                   "--stats", str(tmp_path / "s.csv")])
+        assert rc == 2
+        assert_one_line_error(capsys, "master seed must be >= 0, got -1")
+
     def test_nonfinite_noise_level_is_a_library_error(self, tmp_path, capsys):
         rc = main(["bench", "--suite", "beale", "--variants", "adagi1", "--noise", "0,nan",
                    "--max-iter", "10", "--out", str(tmp_path / "r.csv"),
@@ -132,6 +139,13 @@ class TestSharpness:
                    "--grid", "50", "--shift-f0", "100"])
         assert rc == 0
         assert grid.exists()
+
+    def test_negative_grid_size_is_a_library_error(self, tmp_path, capsys):
+        rc = main(["sharpness", "--kind", "sharp1", "--iters", "10", "--grid", "-1",
+                   "--out", str(tmp_path / "knots.csv"), "--grid-out", str(tmp_path / "g.csv")])
+        assert rc == 2
+        # the knot table is written before the grid is checked
+        assert capsys.readouterr().err == "offo: error: the grid needs at least 1 point, got -1\n"
 
     def test_sharp2_rejects_nu_one_by_name(self, tmp_path, capsys):
         rc = main(["sharpness", "--kind", "sharp2", "--nu", "1", "--iters", "10",

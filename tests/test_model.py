@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from offo.errors import DimensionMismatch, InvalidParameter, NonFiniteInput
-from offo.model import HessianModel, apply_model, update_model
+from offo.model import KAPPA_B, HessianModel, apply_model, update_model
 from offo.problems import Problem
 
 
@@ -62,8 +62,6 @@ class TestZeroAndErrors:
     def test_invalid_kind_and_cap(self):
         with pytest.raises(InvalidParameter):
             HessianModel("nope", 2)
-        with pytest.raises(InvalidParameter):
-            HessianModel("bb", 2, kappaB=0.5)
 
 
 class TestLBFGS:
@@ -176,22 +174,22 @@ def test_symmetry_probe_20_vectors(kind):
 def test_norm_cap_enforced(kind):
     rng = np.random.default_rng(3)
     n = 4
-    m = HessianModel(kind, n, kappaB=1.0)
+    m = HessianModel(kind, n)
     if kind == "exact":
         from offo.problems import diag_quadratic
 
-        p = diag_quadratic([5.0, 1.0, 1.0, 1.0], np.zeros(4))
+        p = diag_quadratic([5.0 * KAPPA_B, 1.0, 1.0, 1.0], np.zeros(4))
         update_model(m, None, None, x_next=np.zeros(4), problem=p)
     else:
         for _ in range(3):
             s = rng.standard_normal(n)
-            y = 50.0 * s + rng.standard_normal(n)
+            y = 50.0 * KAPPA_B * s + rng.standard_normal(n)
             update_model(m, s, y)
     # the stored norm respects the cap after enforcement
-    assert m.bnorm <= 1.0 * (1.0 + 1e-8)
+    assert m.bnorm <= KAPPA_B * (1.0 + 1e-8)
     # and a direct dense check agrees
     dense = dense_of(m, n)
-    assert np.linalg.norm(dense, 2) <= 1.0 * (1.0 + 1e-6)
+    assert np.linalg.norm(dense, 2) <= KAPPA_B * (1.0 + 1e-6)
 
 
 def _hessian_problem(a):
@@ -203,18 +201,18 @@ def _hessian_problem(a):
 
 @settings(max_examples=300, deadline=None)
 @given(kind=st.sampled_from(["lbfgs", "exact"]), n=st.integers(1, 6),
-       kappaB=st.floats(1.0, 100.0), k=st.integers(1, 6), level=st.sampled_from([0.1, 1.0]),
+       k=st.integers(1, 6), level=st.sampled_from([0.1, 1.0]),
        seed=st.integers(0, 2**32 - 1))
-def test_cap_is_exact_on_random_models(kind, n, kappaB, k, level, seed):
-    """||B||_2 <= kappaB, and bnorm is ||B||_2, for random pair sets
+def test_cap_is_exact_on_random_models(kind, n, k, level, seed):
+    """||B||_2 <= KAPPA_B, and bnorm is ||B||_2, for random pair sets
     (lbfgs) and random symmetric Hessians (exact) around the cap."""
     rng = np.random.default_rng(seed)
     q, _ = np.linalg.qr(rng.standard_normal((n, n)))
-    eigs = kappaB * level * 10.0 ** rng.uniform(0.0, 0.3, n)
+    eigs = KAPPA_B * level * 10.0 ** rng.uniform(0.0, 0.3, n)
     if kind == "exact":
         eigs *= rng.choice([-1.0, 1.0], n)
     a = q @ np.diag(eigs) @ q.T
-    m = HessianModel(kind, n, kappaB=kappaB)
+    m = HessianModel(kind, n)
     if kind == "exact":
         update_model(m, None, None, x_next=np.zeros(n), problem=_hessian_problem(a))
     else:
@@ -224,5 +222,5 @@ def test_cap_is_exact_on_random_models(kind, n, kappaB, k, level, seed):
     if kind == "lbfgs" and m.dense is not None:
         np.testing.assert_array_equal(m.dense, m.dense.T)
     norm = float(np.linalg.norm(dense_of(m, n), 2))
-    assert norm <= kappaB * (1.0 + 1e-12)
+    assert norm <= KAPPA_B * (1.0 + 1e-12)
     assert m.bnorm == pytest.approx(norm, rel=1e-12, abs=0.0)

@@ -1,4 +1,5 @@
 import functools
+import hashlib
 import tracemalloc
 
 import numpy as np
@@ -231,8 +232,8 @@ class TestInterpolant:
     def test_knot_interpolation_exact(self):
         knots = build_counterexample("sharp1", {"mu": 0.5, "eta": 0.01}, 500)
         fn = Interpolant(knots)
-        vals = fn(knots.x, 0)
-        slopes = fn(knots.x, 1)
+        vals = np.array([fn(x, 0) for x in knots.x])
+        slopes = np.array([fn(x, 1) for x in knots.x])
         assert np.max(np.abs(vals - knots.f)) <= 1e-12
         assert np.max(np.abs(slopes - knots.g)) <= 1e-12
 
@@ -261,7 +262,7 @@ class TestInterpolant:
                                                 "varsigma": 0.01}, 100)
         fn = Interpolant(knots)
         grid = np.linspace(knots.x[0], knots.x[-1], 20001)
-        curv = fn(grid, 2)
+        curv = np.array([fn(x, 2) for x in grid])
         kf = knots.kappa_f
         # Hermite theory bounds |f''| by a modest multiple of kappa_f
         assert np.max(np.abs(curv)) <= 10.0 * kf
@@ -270,7 +271,7 @@ class TestInterpolant:
         knots = build_counterexample("sharp1", {"mu": 0.5, "eta": 0.01}, 1000)
         fn = Interpolant(knots)
         grid = np.linspace(knots.x[0], knots.x[-1], 50001)
-        assert float(np.min(fn(grid, 0))) >= -1e-9
+        assert min(fn(x, 0) for x in grid) >= -1e-9
 
 
 @functools.lru_cache(maxsize=None)
@@ -283,18 +284,14 @@ def _interpolant(kind):
 @given(kind=st.sampled_from(["sharp1", "sharp2"]), order=st.sampled_from([0, 1, 2]),
        j=st.integers(0, 299), dist=st.floats(1e-300, 1e6),
        fracs=st.lists(st.floats(0.0, 1.0, exclude_max=True), min_size=1, max_size=20))
-def test_scalar_and_array_queries_agree_bit_for_bit(kind, order, j, dist, fracs):
+def test_queries_are_floats_and_none_lies_left_of_the_knots(kind, order, j, dist, fracs):
     fn = _interpolant(kind)
     xs = fn.knots.x
     between = [xs[j] + frac * (xs[j + 1] - xs[j]) for frac in fracs]
     for x in [xs[j], *between, xs[-1], xs[-1] + dist]:
-        scalar = fn(float(x), order)
-        assert type(scalar) is float
-        assert np.float64(scalar).tobytes() == fn(np.array([x]), order)[:1].tobytes()
+        assert type(fn(float(x), order)) is float
     with pytest.raises(OutOfDomain):
         fn(float(xs[0] - dist), order)
-    with pytest.raises(OutOfDomain):
-        fn(np.array([xs[0] - dist]), order)
 
 
 @st.composite
@@ -330,7 +327,6 @@ def test_reused_interpolant_answers_any_query_order_like_a_fresh_one(kind, order
     for x in data.draw(query_sequences(knots.x)):
         got = np.float64(reused(x, order)).tobytes()
         assert got == np.float64(Interpolant(knots)(x, order)).tobytes(), x
-        assert got == reused(np.array([x]), order)[:1].tobytes(), x
 
 
 class TestVerify:
@@ -402,6 +398,17 @@ class TestExports:
         assert len(lines) == knots.knot_count + 1
         first = lines[1].split(",")
         assert float(first[1]) == 0.0 and float(first[3]) == -2.0
+
+    # sha256 of the grid CSVs, pinned so that no rewrite of the evaluation moves a byte
+    @pytest.mark.parametrize("kind, K, options, digest", [
+        ("sharp1", 300, {}, "0b27d2099a1252a6b6ec1a060f754bd14c7ba0bcad5960cc42deceb975f4527f"),
+        ("sharp2", 50, {"num": 100, "shift_f0_to": 100.0},
+         "ecd6a8ae4be16f71d6b9d2a0b05d32c4b3905610076177106452bf2c6f3e7736"),
+    ])
+    def test_grid_csv_bytes(self, tmp_path, kind, K, options, digest):
+        path = tmp_path / "grid.csv"
+        export_grid(build_counterexample(kind, {}, K), str(path), **options)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
     def test_grid_csv_with_shift(self, tmp_path):
         knots = build_counterexample("sharp2", {"nu": 1 / 9, "omega": 4 / 9 + 0.01}, 50)

@@ -11,7 +11,7 @@ from offo.step import CauchyData, TrustRegion, cauchy_point, make_region, model_
 
 
 def bb_model(sigma, n):
-    m = HessianModel("bb", n, kappaB=1e6)
+    m = HessianModel("bb", n)
     s = np.zeros(n)
     s[0] = 1.0
     update_model(m, s, sigma * s)  # ||s||^2 / y's = 1/sigma ... so invert
@@ -22,7 +22,7 @@ def bb_model(sigma, n):
 def exactish_model(matrix):
     """Dense symmetric operator via the exact kind, bypassing any problem."""
     n = matrix.shape[0]
-    m = HessianModel("exact", n, kappaB=1e6)
+    m = HessianModel("exact", n)
     m.dense = np.asarray(matrix, dtype=float)
     return m
 

@@ -179,6 +179,18 @@ class TestTheoryCheck:
         assert report["violations"] == 0
         assert report["checks"]["ming_window"].get("vacuous") is True
 
+    def test_ming_window_start_that_overflows_a_float_is_vacuous(self):
+        # (k_B (k_B + L) / ...) ** (1 / nu) overflows for nu = 0.01
+        strat = ScalingStrategy("maxg-comp", mu=0.5, nu=0.01, varsigma=0.01)
+        record = astr1(quadratic_testbed(5), RunConfig(scaling=strat, max_iter=200,
+                                                       keep_trace=True))
+        constants = constants_from_run(record, L=1.0, Gamma0=1.0)
+        assert constants.j_theta == np.inf
+        report = theory_check(record, constants, "ming")
+        assert report["violations"] == 0
+        assert report["checks"]["ming_window"] == {"violations": 0, "min_margin": np.inf,
+                                                   "vacuous": True, "j_theta": np.inf}
+
     def test_ming_regime_nonvacuous_window(self):
         # varsigma = 1, tau = 1 and a large power make j_theta small, so the
         # windowed bound is actually exercised
