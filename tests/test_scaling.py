@@ -31,6 +31,7 @@ class TestInit:
         dict(kind="adagrad-comp", mu=1.0),
         dict(kind="adagrad-comp", varsigma=0.0),
         dict(kind="adagrad-comp", varsigma=1.5),
+        dict(kind="maxg-agg", mu=0.1, nu=0.0),
         dict(kind="maxg-comp", mu=0.1, nu=0.5),
     ])
     def test_invalid_parameters(self, kwargs):
