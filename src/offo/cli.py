@@ -9,7 +9,7 @@ import sys
 from . import bench, driver, sharpness
 from .problems import load_suite
 from .driver import RunConfig, astr1, save_record
-from .errors import OffoError
+from .errors import InvalidParameter, OffoError
 
 ALL_VARIANTS = [*driver.VARIANTS, "sdba"]
 
@@ -108,6 +108,8 @@ def _add_sharpness(sub):
 
 
 def _cmd_sharpness(args) -> int:
+    if args.grid_out and args.grid is not None and args.grid < 1:  # before any file is written
+        raise InvalidParameter(f"the grid needs at least 1 point, got {args.grid}")
     if args.kind == "sharp1":
         params = {"mu": args.mu, "eta": args.eta, "varsigma": args.varsigma}
     else:

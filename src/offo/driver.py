@@ -83,6 +83,8 @@ class RunConfig:
             raise InvalidParameter("max_iter must be >= 1")
         if not 0.0 <= self.noise_level < math.inf:  # NaN included
             raise InvalidParameter(f"noise level must be finite and >= 0, got {self.noise_level}")
+        if not 0 <= self.noise_seed < 2**128:
+            raise InvalidParameter(f"noise seed must lie in [0, 2**128), got {self.noise_seed}")
 
 
 def variant_config(tag: str, **overrides) -> RunConfig:

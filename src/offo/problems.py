@@ -4,9 +4,10 @@ The suite is a low-dimensional subset of a classical unconstrained testing
 collection (More-Garbow-Hillstrom / CUTE style definitions), each problem
 carrying value/gradient/Hessian oracles, a standard starting point and a
 reference optimal value used by the success criterion of the benchmark
-harness.  Each sum of squares is defined once, by its residuals and their
-Jacobian, and ``_least_squares`` derives f = r.r and g = 2 J'r from them.
-``NoisyProblem`` draws the noise of each query from its own Philox block.
+harness.  Each of the 15 sums of squares is defined once, by its residuals
+and their Jacobian, and ``_least_squares`` derives f = r.r and g = 2 J'r
+from them.  ``NoisyProblem`` draws the noise of each query from its own
+Philox block, keyed by a seed in [0, 2**128).
 """
 
 from __future__ import annotations
@@ -139,7 +140,8 @@ class NoisyProblem:
     Those finite differences use the noise-free gradient; the noise is
     applied to the differenced Hessian, as to any other output.  Every
     oracle output component y is replaced by ``y * (1 + level * xi)``
-    where xi is a standard normal from a Philox stream keyed by the seed.
+    where xi is a standard normal from a Philox stream keyed by the seed, an
+    integer in [0, 2**128).
     The block of a query and quantity starts at counter ``[0, 0, quantity,
     query]`` and its draws advance only the low words, so no block reaches
     into another.  Within one query the draws are assigned to components in
@@ -155,12 +157,14 @@ class NoisyProblem:
     def __init__(self, base: Problem, level: float, seed: int):
         if level < 0:
             raise InvalidParameter(f"noise level must be >= 0, got {level}")
+        if not 0 <= seed < 2**128:  # the 128-bit Philox key; a wider seed would alias
+            raise InvalidParameter(f"noise seed must lie in [0, 2**128), got {seed}")
         self.base = base
         self.level = float(level)
         self.seed = int(seed)
         self.counts = dict.fromkeys(WANT_KINDS + ("fd_gradient",), 0)
         self._query_index = 0
-        key = [self.seed & 0xFFFFFFFFFFFFFFFF, (self.seed >> 64) & 0xFFFFFFFFFFFFFFFF]
+        key = [self.seed & 0xFFFFFFFFFFFFFFFF, self.seed >> 64]
         self._bitgen = np.random.Philox(counter=[0, 0, 0, 0], key=key)
         self._gen = np.random.Generator(self._bitgen)
         self._state = self._bitgen.state  # no draws yet, so the buffer is empty
@@ -260,23 +264,16 @@ def _least_squares(name, x0, residuals, h, f_ref, provenance) -> Problem:
 @_register
 def _arglina():
     n, m = 10, 20
+    a = np.eye(m, n) - 2.0 / m  # r = A x - 1 is linear
 
-    def f(x):
-        s = x.sum()
-        r1 = x - 2.0 * s / m - 1.0
-        r2 = -2.0 * s / m - 1.0
-        return float(r1 @ r1 + (m - n) * r2 * r2)
-
-    def g(x):
-        s = x.sum()
-        r1 = x - 2.0 * s / m - 1.0
-        r2 = -2.0 * s / m - 1.0
-        return 2.0 * (r1 - (2.0 / m) * (r1.sum() + (m - n) * r2))
+    def residuals(x, jac):
+        r = a @ x - 1.0
+        return (r, a) if jac else r
 
     def h(x):
         return 2.0 * np.eye(n)
 
-    return Problem("arglina", n, np.ones(n), f, g, h, 10.0, "literature")
+    return _least_squares("arglina", np.ones(n), residuals, h, 10.0, "literature")
 
 
 @_register
@@ -378,26 +375,21 @@ def _box3():
 @_register
 def _brownal():
     n = 10
+    # rows i < n-1 of the Jacobian: dr_i/dx_j = 1 + delta_ij
+    linear = np.eye(n) + 1.0
     # row j: the indices of x without x_j
     others = np.array([[i for i in range(n) if i != j] for j in range(n)])
 
-    def f(x):
-        s = x.sum()
-        r = x[:-1] + s - (n + 1.0)
-        rn = np.prod(x) - 1.0
-        return float(r @ r + rn * rn)
+    def residuals(x, jac):
+        r = x + x.sum() - (n + 1.0)
+        r[-1] = x.prod() - 1.0
+        if not jac:
+            return r
+        out = linear.copy()
+        out[-1] = x[others].prod(axis=1)  # robust at zero coordinates
+        return r, out
 
-    def g(x):
-        s = x.sum()
-        r = x[:-1] + s - (n + 1.0)
-        rn = np.prod(x) - 1.0
-        out = np.full(n, 2.0 * r.sum())
-        out[:-1] += 2.0 * r
-        # gradient of the product term, robust at zero coordinates
-        out += 2.0 * rn * np.prod(x[others], axis=1)
-        return out
-
-    return Problem("brownal", n, np.full(n, 0.5), f, g, None, 0.0, "literature")
+    return _least_squares("brownal", np.full(n, 0.5), residuals, None, 0.0, "literature")
 
 
 @_register
@@ -416,9 +408,11 @@ def _broyden3d():
 @_register
 def _chebyqad():
     n = 10
+    integrals = np.array([0.0 if j % 2 == 1 else -1.0 / (j * j - 1.0)
+                          for j in range(1, n + 1)])
 
-    def _values(x):
-        """Row j holds the shifted Chebyshev polynomial T~_{j+1} at each x_i."""
+    def residuals(x, jac):
+        # row j: the shifted Chebyshev polynomial T~_{j+1} at each x_i
         z = 2.0 * x - 1.0
         z2 = 2.0 * z
         tv = np.empty((n, n))
@@ -427,30 +421,21 @@ def _chebyqad():
         for j in range(1, n):
             tv[j] = z2 * tv[j - 1] - tprev
             tprev = tv[j - 1]
-        return tv
-
-    integrals = np.array([0.0 if j % 2 == 1 else -1.0 / (j * j - 1.0)
-                          for j in range(1, n + 1)])
-
-    def f(x):
-        r = _values(x).mean(axis=1) - integrals
-        return float(r @ r)
-
-    def g(x):
-        tv = _values(x)
         r = tv.mean(axis=1) - integrals
+        if not jac:
+            return r
+        tv4 = 4.0 * tv
         # row j: the derivative of T~_{j+1} at each x_i
-        z2 = 2.0 * (2.0 * x - 1.0)
         dv = np.empty((n, n))
         dv[0] = 2.0
         dprev = np.zeros_like(x)
         for j in range(1, n):
-            dv[j] = 4.0 * tv[j - 1] + z2 * dv[j - 1] - dprev
+            dv[j] = tv4[j - 1] + z2 * dv[j - 1] - dprev
             dprev = dv[j - 1]
-        return (2.0 / n) * (r @ dv)
+        return r, dv / n
 
     x0 = np.arange(1.0, n + 1.0) / (n + 1.0)
-    return Problem("chebyqad", n, x0, f, g, None, 4.77271369637534e-3, "reference-run")
+    return _least_squares("chebyqad", x0, residuals, None, 4.77271369637534e-3, "reference-run")
 
 
 @_register

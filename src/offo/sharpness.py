@@ -5,9 +5,10 @@ norms decay like k^-(1/2+eta) under the componentwise sum-of-squares scaling,
 and the ``sharp2`` sequence decaying like k^-omega under an iteration-power
 scaling.  Piecewise-cubic Hermite interpolation turns either sequence into a
 univariate objective on which the trust-region driver reproduces the knots
-exactly.  The module also hosts the scalar special functions those
-constructions and the theory constants need (Riemann zeta on (1, inf) and the
-secondary real branch of the Lambert W function).
+exactly; one interval lookup per query gives its value, slope and curvature.
+The module also hosts the scalar special functions those constructions and
+the theory constants need (Riemann zeta on (1, inf) and the secondary real
+branch of the Lambert W function).
 """
 
 from __future__ import annotations
@@ -235,10 +236,10 @@ class Interpolant:
         """Evaluate the interpolant (order 0), slope (1) or curvature (2) at x."""
         if order not in (0, 1, 2):
             raise InvalidParameter("order must be 0, 1 or 2")
-        return self._at(float(x), order)
+        return self._at(float(x))[order]
 
-    def _at(self, x: float, order: int) -> float:
-        """The query on plain floats, with ``order`` unchecked.
+    def _at(self, x: float) -> tuple:
+        """Value, slope and curvature at a plain float, from one lookup.
 
         The interval ``i`` with ``xs[i] <= x < xs[i+1]`` is found by walking
         right from the last query's interval, so a nondecreasing sequence of
@@ -249,9 +250,9 @@ class Interpolant:
         if x < self._first_x:
             raise OutOfDomain("query left of the first knot")
         xs, f, g = self.knots.x, self.knots.f, self.knots.g
-        if x >= self._last_x:
-            last = self._last
-            return _linear(order, x - self._last_x, f.item(last), g.item(last))
+        if x >= self._last_x:  # the last knot itself gives its stored value and slope
+            g0 = g.item(self._last)
+            return f.item(self._last) + g0 * (x - self._last_x), g0, 0.0
         i = self._i
         if x < xs.item(i):
             i = int(xs.searchsorted(x, side="right")) - 1
@@ -259,23 +260,12 @@ class Interpolant:
             while xs.item(i + 1) <= x:  # stops at i = last - 1, since x < xs[last]
                 i += 1
         self._i = i
-        return _cubic(order, x - xs.item(i), f.item(i), g.item(i),
-                      self._c2.item(i), self._c3.item(i))
-
-
-def _cubic(order, t, f0, g0, c2, c3):
-    """f0 + g0 t + c2 t^2 + c3 t^3 or its first or second derivative."""
-    if order == 0:
-        return f0 + g0 * t + c2 * t * t + c3 * t * t * t
-    if order == 1:
-        return g0 + 2.0 * c2 * t + 3.0 * c3 * t * t
-    return 2.0 * c2 + 6.0 * c3 * t
-
-
-def _linear(order, t, f0, g0):
-    """Constant-slope extension from the last knot onward (inclusive, so the
-    final knot itself returns its stored value and slope exactly)."""
-    return (f0 + g0 * t, g0, 0.0)[order]
+        # f0 + g0 t + c2 t^2 + c3 t^3 and its first two derivatives
+        t, f0, g0 = x - xs.item(i), f.item(i), g.item(i)
+        c2, c3 = self._c2.item(i), self._c3.item(i)
+        return (f0 + g0 * t + c2 * t * t + c3 * t * t * t,
+                g0 + 2.0 * c2 * t + 3.0 * c3 * t * t,
+                2.0 * c2 + 6.0 * c3 * t)
 
 
 def interpolant_problem(knots: KnotSequence) -> Problem:
@@ -285,9 +275,9 @@ def interpolant_problem(knots: KnotSequence) -> Problem:
         name=f"{knots.kind}-interp",
         n=1,
         x0=np.array([knots.x[0]]),
-        f=lambda x: at(x.item(0), 0),
-        g=lambda x: np.array([at(x.item(0), 1)]),
-        h=lambda x: np.array([[at(x.item(0), 2)]]),
+        f=lambda x: at(x.item(0))[0],
+        g=lambda x: np.array([at(x.item(0))[1]]),
+        h=lambda x: np.array([[at(x.item(0))[2]]]),
     )
 
 
@@ -356,5 +346,5 @@ def export_grid(knots: KnotSequence, path: str, num: Optional[int] = None,
         writer = csv.writer(fh)
         writer.writerow(["x", "f", "fprime", "fsecond"])
         for x in np.linspace(knots.x[0], knots.x[-1], num).tolist():
-            row = (x, at(x, 0) + shift, at(x, 1), at(x, 2))
-            writer.writerow([repr(v) for v in row])
+            v, slope, curvature = at(x)
+            writer.writerow([repr(x), repr(v + shift), repr(slope), repr(curvature)])

@@ -77,6 +77,13 @@ class TestSolve:
         assert rc == 2
         assert_one_line_error(capsys, "sdba has no model or norm")
 
+    @pytest.mark.parametrize("seed", ["-1", str(2**128)])
+    def test_seed_outside_the_philox_key_is_a_library_error(self, capsys, seed):
+        rc = main(["solve", "--problem", "beale", "--noise", "0.1", "--seed", seed,
+                   "--max-iter", "10"])
+        assert rc == 2
+        assert_one_line_error(capsys, f"noise seed must lie in [0, 2**128), got {seed}")
+
     def test_noisy_run(self, capsys):
         rc = main(["solve", "--problem", "booth", "--variant", "sdba",
                    "--noise", "0.05", "--seed", "3", "--max-iter", "500"])
@@ -144,8 +151,8 @@ class TestSharpness:
         rc = main(["sharpness", "--kind", "sharp1", "--iters", "10", "--grid", "-1",
                    "--out", str(tmp_path / "knots.csv"), "--grid-out", str(tmp_path / "g.csv")])
         assert rc == 2
-        # the knot table is written before the grid is checked
-        assert capsys.readouterr().err == "offo: error: the grid needs at least 1 point, got -1\n"
+        assert_one_line_error(capsys, "the grid needs at least 1 point, got -1")
+        assert not (tmp_path / "knots.csv").exists() and not (tmp_path / "g.csv").exists()
 
     def test_sharp2_rejects_nu_one_by_name(self, tmp_path, capsys):
         rc = main(["sharpness", "--kind", "sharp2", "--nu", "1", "--iters", "10",

@@ -402,6 +402,7 @@ class TestConfig:
     @pytest.mark.parametrize("field, value", [
         ("eps", np.nan), ("noise_level", np.nan), ("noise_level", np.inf),
         ("noise_level", -0.1), ("tau", 0.0), ("tau", -0.5), ("tau", 1.5), ("tau", np.nan),
+        ("noise_seed", -1), ("noise_seed", 2**128),
     ])
     def test_out_of_range_value_rejected_when_built(self, field, value):
         with pytest.raises(InvalidParameter, match=field.split("_")[0]):

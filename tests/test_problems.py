@@ -222,6 +222,14 @@ class TestNoise:
         with pytest.raises(InvalidParameter):
             NoisyProblem(p, -0.1, 0)
 
+    @pytest.mark.parametrize("seed", [-1, 2**128, 2**128 + 5])
+    def test_seed_outside_the_philox_key_rejected(self, seed):
+        """Keyed by its low 128 bits, such a seed would alias one inside."""
+        (p,) = load_suite(["beale"])
+        with pytest.raises(InvalidParameter, match="noise seed must lie in"):
+            NoisyProblem(p, 0.1, seed)
+        assert NoisyProblem(p, 0.1, 2**128 - 1).seed == 2**128 - 1
+
     def test_unbiased_at_desk_scale(self):
         """Mean over 1e4 seeds matches the clean gradient componentwise to
         3 * level * |g| / 100 (a three-sigma band for that many draws)."""
@@ -313,20 +321,20 @@ class TestGradientFiniteness:
         assert np.isfinite(out["gradient"]).all()
 
 
-# The kernels as first written, one loop or list per step: the reference
-# that the vectorised brownal, chebyqad and integreq oracles equal bit for bit.
+# The kernels as first written, one loop or list per step, in residual form:
+# the reference that the vectorised brownal, chebyqad and integreq oracles
+# equal bit for bit.
 
 def _brownal_reference(x):
     n = x.size
-    s = x.sum()
-    r = x[:-1] + s - (n + 1.0)
-    rn = np.prod(x) - 1.0
-    out = np.full(n, 2.0 * r.sum())
-    out[:-1] += 2.0 * r
+    r, jac = np.empty(n), np.ones((n, n))
+    for i in range(n - 1):
+        r[i] = x[i] + x.sum() - (n + 1.0)
+        jac[i, i] = 2.0
+    r[-1] = np.prod(x) - 1.0
     for j in range(n):
-        pj = np.prod(np.delete(x, j))
-        out[j] += 2.0 * rn * pj
-    return float(r @ r + rn * rn), out
+        jac[-1, j] = np.prod(np.delete(x, j))
+    return float(r @ r), 2.0 * jac.T @ r
 
 
 def _chebyqad_reference(x):
@@ -341,10 +349,13 @@ def _chebyqad_reference(x):
         tprev, t, dprev, d = t, tnext, d, dnext
         tvals.append(t.copy())
         dvals.append(d.copy())
-    tv, dv = np.array(tvals), np.array(dvals)
-    integrals = np.array([0.0 if j % 2 == 1 else -1.0 / (j * j - 1.0) for j in range(1, n + 1)])
-    r = tv.mean(axis=1) - integrals
-    return float(r @ r), (2.0 / n) * (r @ dv)
+    r, jac = np.empty(n), np.empty((n, n))
+    for j in range(n):
+        integral = 0.0 if j % 2 == 0 else -1.0 / ((j + 1) ** 2 - 1.0)
+        r[j] = tvals[j].mean() - integral
+        for i in range(n):
+            jac[j, i] = dvals[j][i] / n
+    return float(r @ r), 2.0 * jac.T @ r
 
 
 def _integreq_reference(x):
