@@ -4,7 +4,7 @@ The suite is a low-dimensional subset of a classical unconstrained testing
 collection (More-Garbow-Hillstrom / CUTE style definitions), each problem
 carrying value/gradient/Hessian oracles, a standard starting point and a
 reference optimal value used by the success criterion of the benchmark
-harness.  Each of the 15 sums of squares is defined once, by its residuals
+harness.  Each of the 24 sums of squares is defined once, by its residuals
 and their Jacobian, and ``_least_squares`` derives f = r.r and g = 2 J'r
 from them.  ``NoisyProblem`` draws the noise of each query from its own
 Philox block, keyed by a seed in [0, 2**128).
@@ -456,12 +456,9 @@ def _cliff():
 
 @_register
 def _cube():
-    def f(x):
-        return float((x[0] - 1.0) ** 2 + 100.0 * (x[1] - x[0] ** 3) ** 2)
-
-    def g(x):
-        r = x[1] - x[0] ** 3
-        return np.array([2.0 * (x[0] - 1.0) - 600.0 * r * x[0] ** 2, 200.0 * r])
+    def residuals(x, jac):
+        r = np.array([x[0] - 1.0, 10.0 * (x[1] - x[0] ** 3)])
+        return (r, np.array([[1.0, 0.0], [-30.0 * x[0] ** 2, 10.0]])) if jac else r
 
     def h(x):
         r = x[1] - x[0] ** 3
@@ -470,7 +467,7 @@ def _cube():
             [-600.0 * x[0] ** 2, 200.0],
         ])
 
-    return Problem("cube", 2, np.array([-1.2, 1.0]), f, g, h, 0.0, "literature")
+    return _least_squares("cube", np.array([-1.2, 1.0]), residuals, h, 0.0, "literature")
 
 
 @_register
@@ -500,16 +497,14 @@ def _dqartic():
     n = 10
     i = np.arange(1.0, n + 1.0)
 
-    def f(x):
-        return float(np.sum((x - i) ** 4))
-
-    def g(x):
-        return 4.0 * (x - i) ** 3
+    def residuals(x, jac):
+        d = x - i
+        return (d * d, np.diag(2.0 * d)) if jac else d * d
 
     def h(x):
         return np.diag(12.0 * (x - i) ** 2)
 
-    return Problem("dqartic", n, 2.0 * np.ones(n), f, g, h, 0.0, "literature")
+    return _least_squares("dqartic", 2.0 * np.ones(n), residuals, h, 0.0, "literature")
 
 
 @_register
@@ -534,28 +529,19 @@ def _freuroth():
 
 @_register
 def _helix():
-    def theta(x):
-        if x[0] > 0:
-            return np.arctan(x[1] / x[0]) / (2.0 * np.pi)
-        return np.arctan(x[1] / x[0]) / (2.0 * np.pi) + 0.5
-
-    def f(x):
-        r = np.hypot(x[0], x[1])
-        return float(100.0 * ((x[2] - 10.0 * theta(x)) ** 2 + (r - 1.0) ** 2) + x[2] ** 2)
-
-    def g(x):
+    def residuals(x, jac):
         r2 = x[0] ** 2 + x[1] ** 2
-        r = np.sqrt(r2)
-        a = x[2] - 10.0 * theta(x)
-        dth1 = -x[1] / (2.0 * np.pi * r2)
-        dth2 = x[0] / (2.0 * np.pi * r2)
-        return np.array([
-            -2000.0 * a * dth1 + 200.0 * (r - 1.0) * x[0] / r,
-            -2000.0 * a * dth2 + 200.0 * (r - 1.0) * x[1] / r,
-            200.0 * a + 2.0 * x[2],
-        ])
+        rad = np.sqrt(r2)
+        # the angle of (x1, x2) over 2 pi, in (-1/4, 3/4]
+        theta = math.atan(x[1] / x[0]) / (2.0 * math.pi) + (0.0 if x[0] > 0 else 0.5)
+        r = np.array([10.0 * (x[2] - 10.0 * theta), 10.0 * (rad - 1.0), x[2]])
+        if not jac:
+            return r
+        c = 50.0 / (math.pi * r2)  # -100 dtheta/dx = c (x2, -x1)
+        return r, np.array([[c * x[1], -c * x[0], 10.0],
+                            [10.0 * x[0] / rad, 10.0 * x[1] / rad, 0.0], [0.0, 0.0, 1.0]])
 
-    return Problem("helix", 3, np.array([-1.0, 0.0, 0.0]), f, g, None, 0.0, "literature")
+    return _least_squares("helix", np.array([-1.0, 0.0, 0.0]), residuals, None, 0.0, "literature")
 
 
 @_register
@@ -687,38 +673,46 @@ def _osborneb():
 def _penalty1():
     n = 10
     a = 1e-5
+    sa = math.sqrt(a)
+    lin = np.vstack((sa * np.eye(n), np.zeros(n)))  # the last row, 2 x, varies
 
-    def f(x):
-        return float(a * np.sum((x - 1.0) ** 2) + (np.sum(x**2) - 0.25) ** 2)
-
-    def g(x):
-        s = np.sum(x**2) - 0.25
-        return 2.0 * a * (x - 1.0) + 4.0 * s * x
+    def residuals(x, jac):
+        r = np.concatenate((sa * (x - 1.0), [x @ x - 0.25]))
+        if not jac:
+            return r
+        out = lin.copy()
+        out[-1] = 2.0 * x
+        return r, out
 
     def h(x):
         s = np.sum(x**2) - 0.25
         return (2.0 * a + 4.0 * s) * np.eye(n) + 8.0 * np.outer(x, x)
 
-    return Problem("penalty1", n, np.arange(1.0, n + 1.0), f, g, h, 7.08765146709037e-5, "literature")
+    return _least_squares("penalty1", np.arange(1.0, n + 1.0), residuals, h, 7.08765146709037e-5,
+                          "literature")
 
 
 @_register
 def _powellsg():
-    n = 12
+    n, nb = 12, 3
+    s5, s10 = math.sqrt(5.0), math.sqrt(10.0)
+    # row t * nb + j is residual kind t of block j, with slopes[t] in block j's
+    # variables; lin viewed as (kind, block, block, slot), the slopes of kind 2
+    # in slots 1 and 2 and of kind 3 in slots 0 and 3 vary with x
+    slopes = [[1.0, 10.0, 0.0, 0.0], [0.0, 0.0, s5, -s5], [0.0] * 4, [0.0] * 4]
+    lin = np.einsum("tc,jk->tjkc", slopes, np.eye(nb)).reshape(-1, n)
+    vary = np.ravel_multi_index(([[2], [2], [3], [3]], *np.diag_indices(nb), [[1], [2], [0], [3]]),
+                                (4, nb, nb, 4)).ravel()
 
-    def f(x):
+    def residuals(x, jac):
         a, b, c, d = x[0::4], x[1::4], x[2::4], x[3::4]
-        return float(np.sum((a + 10.0 * b) ** 2 + 5.0 * (c - d) ** 2
-                            + (b - 2.0 * c) ** 4 + 10.0 * (a - d) ** 4))
-
-    def g(x):
-        a, b, c, d = x[0::4], x[1::4], x[2::4], x[3::4]
-        out = np.zeros(n)
-        out[0::4] = 2.0 * (a + 10.0 * b) + 40.0 * (a - d) ** 3
-        out[1::4] = 20.0 * (a + 10.0 * b) + 4.0 * (b - 2.0 * c) ** 3
-        out[2::4] = 10.0 * (c - d) - 8.0 * (b - 2.0 * c) ** 3
-        out[3::4] = -10.0 * (c - d) - 40.0 * (a - d) ** 3
-        return out
+        r = np.concatenate((a + 10.0 * b, s5 * (c - d), (b - 2.0 * c) ** 2, s10 * (a - d) ** 2))
+        if not jac:
+            return r
+        p, q = 2.0 * (b - 2.0 * c), 2.0 * s10 * (a - d)
+        out = lin.copy()
+        out.flat[vary] = np.concatenate((p, -2.0 * p, q, -q))
+        return r, out
 
     def h(x):
         out = np.zeros((n, n))
@@ -735,23 +729,24 @@ def _powellsg():
             out[k : k + 4, k : k + 4] = blk
         return out
 
-    x0 = np.tile([3.0, -1.0, 0.0, 1.0], n // 4)
-    return Problem("powellsg", n, x0, f, g, h, 0.0, "literature")
+    x0 = np.tile([3.0, -1.0, 0.0, 1.0], nb)
+    return _least_squares("powellsg", x0, residuals, h, 0.0, "literature")
 
 
 @_register
 def _rosenbr():
     n = 10
+    # rows i < n-1: 10 (x_{i+1} - x_i^2), whose slope in x_i varies; rows n-1+i: 1 - x_i
+    lin = np.vstack((10.0 * np.eye(n - 1, n, k=1), -np.eye(n - 1, n)))
 
-    def f(x):
-        return float(np.sum(100.0 * (x[1:] - x[:-1] ** 2) ** 2 + (1.0 - x[:-1]) ** 2))
-
-    def g(x):
-        r = x[1:] - x[:-1] ** 2
-        out = np.zeros(n)
-        out[:-1] = -400.0 * x[:-1] * r - 2.0 * (1.0 - x[:-1])
-        out[1:] += 200.0 * r
-        return out
+    def residuals(x, jac):
+        a = x[:-1]
+        r = np.concatenate((10.0 * (x[1:] - a**2), 1.0 - a))
+        if not jac:
+            return r
+        out = lin.copy()
+        out.flat[: (n - 1) * (n + 1) : n + 1] = -20.0 * a
+        return r, out
 
     def h(x):
         r = x[1:] - x[:-1] ** 2
@@ -763,7 +758,7 @@ def _rosenbr():
         return out
 
     x0 = np.tile([-1.2, 1.0], n // 2)
-    return Problem("rosenbr", n, x0, f, g, h, 0.0, "literature")
+    return _least_squares("rosenbr", x0, residuals, h, 0.0, "literature")
 
 
 @_register
@@ -790,17 +785,14 @@ def _sisser():
 def _tridia():
     n = 10
     i = np.arange(2.0, n + 1.0)
+    w = np.sqrt(i)
+    # r = A x - e1: x_1 - 1, then sqrt(i) (2 x_i - x_{i-1}) for i = 2..n
+    a = np.diag(np.append(1.0, 2.0 * w)) - np.diag(w, k=-1)
 
-    def f(x):
-        return float((x[0] - 1.0) ** 2 + np.sum(i * (2.0 * x[1:] - x[:-1]) ** 2))
-
-    def g(x):
-        r = 2.0 * x[1:] - x[:-1]
-        out = np.zeros(n)
-        out[0] = 2.0 * (x[0] - 1.0)
-        out[1:] += 4.0 * i * r
-        out[:-1] += -2.0 * i * r
-        return out
+    def residuals(x, jac):
+        r = a @ x
+        r[0] -= 1.0
+        return (r, a) if jac else r
 
     def h(x):
         out = np.zeros((n, n))
@@ -811,28 +803,29 @@ def _tridia():
         out[idx, idx - 1] = out[idx - 1, idx] = -4.0 * i
         return out
 
-    return Problem("tridia", n, np.ones(n), f, g, h, 0.0, "literature")
+    return _least_squares("tridia", np.ones(n), residuals, h, 0.0, "literature")
 
 
 @_register
 def _vardim():
     n = 10
     i = np.arange(1.0, n + 1.0)
+    lin = np.vstack((np.eye(n), i, np.zeros(n)))  # the last row, 2 s i, varies
 
-    def f(x):
-        s = float(i @ (x - 1.0))
-        return float(np.sum((x - 1.0) ** 2) + s**2 + s**4)
-
-    def g(x):
-        s = float(i @ (x - 1.0))
-        return 2.0 * (x - 1.0) + (2.0 * s + 4.0 * s**3) * i
+    def residuals(x, jac):
+        s = i @ (x - 1.0)
+        r = np.concatenate((x - 1.0, (s, s * s)))
+        if not jac:
+            return r
+        out = lin.copy()
+        out[-1] = 2.0 * s * i
+        return r, out
 
     def h(x):
         s = float(i @ (x - 1.0))
         return 2.0 * np.eye(n) + (2.0 + 12.0 * s**2) * np.outer(i, i)
 
-    x0 = 1.0 - i / n
-    return Problem("vardim", n, x0, f, g, h, 0.0, "literature")
+    return _least_squares("vardim", 1.0 - i / n, residuals, h, 0.0, "literature")
 
 
 @_register
@@ -860,22 +853,24 @@ def _watson():
 
 @_register
 def _woods():
-    n = 12
+    n, nb = 12, 3
+    s90, s10, s01 = math.sqrt(90.0), math.sqrt(10.0), math.sqrt(0.1)
+    # rows and varying slopes as in powellsg: kind 0 varies in slot 0, kind 2 in slot 2
+    slopes = [[0.0, 10.0, 0.0, 0.0], [-1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, s90],
+              [0.0, 0.0, -1.0, 0.0], [0.0, s10, 0.0, s10], [0.0, s01, 0.0, -s01]]
+    lin = np.einsum("tc,jk->tjkc", slopes, np.eye(nb)).reshape(-1, n)
+    vary = np.ravel_multi_index(([[0], [2]], *np.diag_indices(nb), [[0], [2]]),
+                                (6, nb, nb, 4)).ravel()
 
-    def f(x):
+    def residuals(x, jac):
         a, b, c, d = x[0::4], x[1::4], x[2::4], x[3::4]
-        return float(np.sum(100.0 * (b - a**2) ** 2 + (1.0 - a) ** 2
-                            + 90.0 * (d - c**2) ** 2 + (1.0 - c) ** 2
-                            + 10.0 * (b + d - 2.0) ** 2 + 0.1 * (b - d) ** 2))
-
-    def g(x):
-        a, b, c, d = x[0::4], x[1::4], x[2::4], x[3::4]
-        out = np.zeros(n)
-        out[0::4] = -400.0 * a * (b - a**2) - 2.0 * (1.0 - a)
-        out[1::4] = 200.0 * (b - a**2) + 20.0 * (b + d - 2.0) + 0.2 * (b - d)
-        out[2::4] = -360.0 * c * (d - c**2) - 2.0 * (1.0 - c)
-        out[3::4] = 180.0 * (d - c**2) + 20.0 * (b + d - 2.0) - 0.2 * (b - d)
-        return out
+        r = np.concatenate((10.0 * (b - a**2), 1.0 - a, s90 * (d - c**2), 1.0 - c,
+                            s10 * (b + d - 2.0), s01 * (b - d)))
+        if not jac:
+            return r
+        out = lin.copy()
+        out.flat[vary] = np.concatenate((-20.0 * a, -2.0 * s90 * c))
+        return r, out
 
     def h(x):
         out = np.zeros((n, n))
@@ -890,8 +885,8 @@ def _woods():
             out[k : k + 4, k : k + 4] = blk
         return out
 
-    x0 = np.tile([-3.0, -1.0, -3.0, -1.0], n // 4)
-    return Problem("woods", n, x0, f, g, h, 0.0, "literature")
+    x0 = np.tile([-3.0, -1.0, -3.0, -1.0], nb)
+    return _least_squares("woods", x0, residuals, h, 0.0, "literature")
 
 
 # ---------------------------------------------------------------------------

@@ -5,14 +5,17 @@ For each of the 10 variants and 29 problems, at noise 0 and at one noisy
 replication (relative level 0.25, fixed seed), a 50-iteration run is reduced
 to ``(status, iters, evals, sha256(x_final bytes))`` and compared with the
 values stored in ``golden_outcomes.json``, which also records the NumPy version
-that wrote it: NumPy gives its normal sampler no stream guarantee across
-versions (NEP 19), so on a mismatch the noisy rows may move for that reason
-alone.  ``golden_theory.json`` pins the
-sha256 of the sharp1 (1e4 steps) and sharp2 (5e4 steps) knot arrays, of
-the sharp1 retrace's trace ``x`` and ``g``, and of one 2,000-iteration
-``record_f`` run per model-free variant (one per scaling kind) on
-``quadratic_testbed(5)`` started at x0 = 10, where every variant runs most of
-its budget.  A refactor that keeps these tests green changed no iterate.
+that wrote it and its BLAS: NumPy gives its normal sampler no stream guarantee
+across versions (NEP 19), and 25 of the 29 gradients (the 24 sums of squares
+and hilbert) are BLAS ``dgemv`` products, whose rounding depends on the kernel
+that OpenBLAS picks for the CPU at run time.  So on a mismatch rows may move
+for either reason alone, and the failure message names such a difference; it
+is not a gate.  ``golden_theory.json`` pins the sha256 of the sharp1 (1e4
+steps) and sharp2 (5e4 steps) knot arrays, of the sharp1 retrace's trace ``x``
+and ``g``, and of one 2,000-iteration ``record_f`` run per model-free variant
+(one per scaling kind) on ``quadratic_testbed(5)`` started at x0 = 10, where
+every variant runs most of its budget.  A refactor that keeps these tests
+green changed no iterate.
 
 To regenerate the stored values (only when an iterate is meant to change),
 printing one ``tag@level problem: moved fields`` or ``row: moved fields``
@@ -21,6 +24,7 @@ line per stored row that changes:
     PYTHONPATH=src python tests/test_golden.py
 """
 
+import ctypes
 import hashlib
 import json
 from pathlib import Path
@@ -63,14 +67,39 @@ def _key(tag: str, level: float) -> str:
     return f"{tag}@{level!r}"
 
 
+def openblas_core():
+    """The CPU core whose kernels OpenBLAS picked at run time, e.g. "SkylakeX",
+    or None when NumPy's bundled library exports no core name."""
+    for lib in sorted(Path(np.__file__).parent.with_name("numpy.libs").glob("*openblas*")):
+        try:
+            corename = ctypes.CDLL(str(lib)).scipy_openblas_get_corename64_
+        except (OSError, AttributeError):
+            continue
+        corename.restype = ctypes.c_char_p
+        return corename().decode()
+    return None
+
+
+def blas_config() -> dict:
+    """The BLAS that NumPy was built with, and the core it runs on here."""
+    blas = np.__config__.CONFIG["Build Dependencies"]["blas"]
+    return {"name": blas.get("name"), "version": blas.get("version"), "core": openblas_core()}
+
+
 def version_note(golden: dict) -> str:
-    """Names a NumPy version difference as the likely cause of a mismatch."""
+    """Names a NumPy version or BLAS difference as the likely cause of a mismatch."""
+    notes = []
     pinned = golden.get("numpy")
-    if pinned == np.__version__:
+    if pinned != np.__version__:
+        notes.append(f"the rows were written with NumPy {pinned} and this is NumPy "
+                     f"{np.__version__}, whose normal sampler may differ (NEP 19)")
+    pinned, here = golden.get("blas"), blas_config()
+    if pinned != here:
+        notes.append(f"the rows were written with BLAS {pinned} and this is BLAS {here}, "
+                     "whose dgemv kernels may round the gradients differently")
+    if not notes:
         return ""
-    return (f"; the rows were written with NumPy {pinned} and this is NumPy "
-            f"{np.__version__}, whose normal sampler may differ (NEP 19): "
-            "a version difference is the likely cause")
+    return "; " + "; ".join(notes) + ": a version or BLAS difference is the likely cause"
 
 
 def moved_fields(got: list, pinned: list) -> list:
@@ -148,10 +177,11 @@ def test_theory_path_matches_pinned():
 
 def write_golden(path: Path = GOLDEN_PATH) -> None:
     """One line per (variant, level, problem) so that diffs stay readable,
-    after the NumPy version; prints the moved fields of each stored row that
-    changes."""
+    after the NumPy version and the BLAS; prints the moved fields of each
+    stored row that changes."""
     stored = json.loads(path.read_text()) if path.exists() else {}
-    blocks = [f" \"numpy\": {json.dumps(np.__version__)}"]
+    blocks = [f" \"numpy\": {json.dumps(np.__version__)}",
+              f" \"blas\": {json.dumps(blas_config())}"]
     for key, by_problem in sorted(compute_all().items()):
         for name, out in sorted(by_problem.items()):
             pinned = stored.get(key, {}).get(name)

@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -322,8 +323,8 @@ class TestGradientFiniteness:
 
 
 # The kernels as first written, one loop or list per step, in residual form:
-# the reference that the vectorised brownal, chebyqad and integreq oracles
-# equal bit for bit.
+# the reference that the vectorised brownal, chebyqad, integreq, rosenbr,
+# woods and powellsg oracles equal bit for bit.
 
 def _brownal_reference(x):
     n = x.size
@@ -377,8 +378,50 @@ def _integreq_reference(x):
     return float(r @ r), 2.0 * jac.T @ r
 
 
+def _rosenbr_reference(x):
+    m = x.size - 1
+    r, jac = np.empty(2 * m), np.zeros((2 * m, x.size))
+    for i in range(m):
+        r[i] = 10.0 * (x[i + 1] - x[i] * x[i])
+        jac[i, i], jac[i, i + 1] = -20.0 * x[i], 10.0
+        r[m + i] = 1.0 - x[i]
+        jac[m + i, i] = -1.0
+    return float(r @ r), 2.0 * jac.T @ r
+
+
+def _blocks_reference(x, kinds):
+    """Residual kind t of block j as row t * nb + j; ``kinds(a, b, c, d)``
+    lists each kind's residual and its slopes by slot within the block."""
+    nb = x.size // 4
+    rows = [kinds(*x[4 * j : 4 * j + 4]) for j in range(nb)]
+    r, jac = np.empty(len(rows[0]) * nb), np.zeros((len(rows[0]) * nb, x.size))
+    for j, block in enumerate(rows):
+        for t, (res, slopes) in enumerate(block):
+            r[t * nb + j] = res
+            for slot, slope in slopes.items():
+                jac[t * nb + j, 4 * j + slot] = slope
+    return float(r @ r), 2.0 * jac.T @ r
+
+
+def _woods_kinds(a, b, c, d):
+    s90, s10, s01 = math.sqrt(90.0), math.sqrt(10.0), math.sqrt(0.1)
+    return [(10.0 * (b - a * a), {0: -20.0 * a, 1: 10.0}), (1.0 - a, {0: -1.0}),
+            (s90 * (d - c * c), {2: -2.0 * s90 * c, 3: s90}), (1.0 - c, {2: -1.0}),
+            (s10 * (b + d - 2.0), {1: s10, 3: s10}), (s01 * (b - d), {1: s01, 3: -s01})]
+
+
+def _powellsg_kinds(a, b, c, d):
+    s5, s10 = math.sqrt(5.0), math.sqrt(10.0)
+    u, v = b - 2.0 * c, a - d
+    p, q = 2.0 * u, 2.0 * s10 * v
+    return [(a + 10.0 * b, {0: 1.0, 1: 10.0}), (s5 * (c - d), {2: s5, 3: -s5}),
+            (u * u, {1: p, 2: -2.0 * p}), (s10 * (v * v), {0: q, 3: -q})]
+
+
 KERNEL_REFERENCES = {"brownal": _brownal_reference, "chebyqad": _chebyqad_reference,
-                     "integreq": _integreq_reference}
+                     "integreq": _integreq_reference, "rosenbr": _rosenbr_reference,
+                     "woods": lambda x: _blocks_reference(x, _woods_kinds),
+                     "powellsg": lambda x: _blocks_reference(x, _powellsg_kinds)}
 
 
 @pytest.mark.parametrize("name", sorted(KERNEL_REFERENCES))
