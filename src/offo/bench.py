@@ -22,6 +22,7 @@ import numpy as np
 
 from .driver import VARIANTS, RunConfig, RunRecord, astr1, fdecrease_margins, run_variant
 from .errors import (
+    ConfigMismatch,
     EmptyResults,
     InvalidParameter,
     MissingConstants,
@@ -363,20 +364,18 @@ def series_suite(n_sequences: int = 1000, seed: int = 2024, rtol: float = 1e-12)
 
 @dataclass(frozen=True)
 class TheoryConstants:
-    """Problem and algorithm constants feeding the convergence bounds."""
+    """Problem and algorithm constants feeding the convergence bounds, at the admissible
+    width vartheta = 1 and, for ``nu`` set, kappa_w = kappa_g and varsigma_min = varsigma."""
 
     n: int
     mu: float
     varsigma: float
-    vartheta: float
     tau: float
     kappaB: float
     L: float
     kappa_g: float
     Gamma0: float
     nu: Optional[float] = None  # iteration-power regime only
-    kappa_w: Optional[float] = None
-    varsigma_min: Optional[float] = None
 
     def __post_init__(self):
         for name in ("kappaB", "L", "kappa_g", "Gamma0"):
@@ -386,21 +385,20 @@ class TheoryConstants:
 
     @property
     def kappa1(self) -> float:
-        return self.kappa_g ** (2 * self.mu) * self.kappaB / (
-            self.tau * self.varsigma**self.mu * np.sqrt(self.vartheta))
+        return self.kappa_g ** (2 * self.mu) * self.kappaB / (self.tau * self.varsigma**self.mu)
 
     @property
     def kappa2(self) -> float:
-        return self.n * self.kappa1 * (self.kappaB + self.L) / self.vartheta
+        return self.n * self.kappa1 * (self.kappaB + self.L)
 
     @property
     def kappa3(self) -> float:
-        mu, vs, vt = self.mu, self.varsigma, self.vartheta
+        mu, vs = self.mu, self.varsigma
         if not mu < 0.5:
             raise MissingConstants("kappa3 defined for mu < 1/2")
         t2 = (4.0 * self.n * self.kappaB * (self.kappaB + self.L)
-              / ((1.0 - 2.0 * mu) * self.tau * vs**mu * vt**1.5)) ** (1.0 / mu)
-        t3 = (2.0 ** (2.0 * mu) * vt * (1.0 - 2.0 * mu) * self.Gamma0
+              / ((1.0 - 2.0 * mu) * self.tau * vs**mu)) ** (1.0 / mu)
+        t3 = (2.0 ** (2.0 * mu) * (1.0 - 2.0 * mu) * self.Gamma0
               / (self.n * (self.kappaB + self.L))) ** (1.0 / (1.0 - 2.0 * mu))
         return max(vs, t2, t3)
 
@@ -418,22 +416,22 @@ class TheoryConstants:
 
     @property
     def kappa6(self) -> float:
-        vs, vt = self.varsigma, self.vartheta
+        vs = self.varsigma
         denom = 8.0 * self.n * self.kappaB * (self.kappaB + self.L)
-        ratio = self.tau * np.sqrt(vs) * vt**1.5 / denom
+        ratio = self.tau * np.sqrt(vs) / denom
         wm1 = lambert_wm1(-ratio)
-        t2 = 0.5 * np.exp(2.0 * self.Gamma0 * vt / (self.n * (self.kappaB + self.L)))
-        t3 = 0.5 * (denom / (self.tau * np.sqrt(vs) * vt**1.5)) ** 2 * wm1**2
+        t2 = 0.5 * np.exp(2.0 * self.Gamma0 / (self.n * (self.kappaB + self.L)))
+        t3 = 0.5 * (denom / (self.tau * np.sqrt(vs))) ** 2 * wm1**2
         return max(vs, t2, t3)
 
     @property
     def kappa7(self) -> float:
-        mu, vs, vt = self.mu, self.varsigma, self.vartheta
+        mu, vs = self.mu, self.varsigma
         if not mu > 0.5:
             raise MissingConstants("kappa7 defined for mu > 1/2")
         inner = self.Gamma0 + (self.n * (self.kappaB + self.L) * vs ** (1.0 - 2.0 * mu)
-                               / (2.0 * vt * (2.0 * mu - 1.0)))
-        return (2.0 ** (1.0 + mu) * self.kappaB / (self.tau * vs**mu * np.sqrt(vt))
+                               / (2.0 * (2.0 * mu - 1.0)))
+        return (2.0 ** (1.0 + mu) * self.kappaB / (self.tau * vs**mu)
                 * inner) ** (1.0 / (1.0 - mu))
 
     @property
@@ -445,32 +443,37 @@ class TheoryConstants:
             2.0 * mu - 1.0)
 
     @property
+    def regime(self) -> str:
+        """The one of :data:`REGIMES` these constants govern: ``ming`` when
+        ``nu`` is set, else the one ``mu`` falls in (below, at or above 1/2)."""
+        return "ming" if self.nu is not None else REGIMES[(self.mu >= 0.5) + (self.mu > 0.5)]
+
+    @property
     def kappa_order(self) -> float:
         """The k-order constant of the regime (kappa3 / kappa6 / kappa7)."""
-        if self.mu < 0.5:
+        if self.regime == "mu_lt_half":
             return self.kappa3
-        if self.mu == 0.5:
+        if self.regime == "mu_eq_half":
             return self.kappa6
-        return self.kappa7
+        if self.regime == "mu_gt_half":
+            return self.kappa7
+        raise MissingConstants("the iteration-power regime has no k-order constant")
 
     # -- iteration-power ("ming") regime -----------------------------------
 
-    def _need_ming(self):
-        if self.nu is None or self.kappa_w is None or self.varsigma_min is None:
-            raise MissingConstants("nu, kappa_w and varsigma_min are required")
-
     @property
     def theta(self) -> float:
-        """The window's theta, the midpoint of (0, tau * varsigma_min)."""
-        self._need_ming()
-        return 0.5 * self.tau * self.varsigma_min
+        """The window's theta, the midpoint of (0, tau * varsigma); j_theta and
+        kappa_diamond read it, so its check of ``nu`` guards them too."""
+        if self.nu is None:
+            raise MissingConstants("the iteration-power constants need nu")
+        return 0.5 * self.tau * self.varsigma
 
     @property
     def j_theta(self) -> float:
         """The window's start index; inf when it overflows a float."""
-        self._need_ming()
         base = self.kappaB * (self.kappaB + self.L) / (
-            self.varsigma_min * (self.tau * self.varsigma_min - self.theta))
+            self.varsigma * (self.tau * self.varsigma - self.theta))
         try:
             return base ** (1.0 / self.nu)
         except OverflowError:
@@ -478,10 +481,9 @@ class TheoryConstants:
 
     @property
     def kappa_diamond(self) -> float:
-        self._need_ming()
-        return (2.0 * self.kappa_w * self.kappaB / self.theta) * (
+        return (2.0 * self.kappa_g * self.kappaB / self.theta) * (
             self.Gamma0 + self.n * (self.j_theta + 1.0) * self.kappa_g**2
-            * (self.kappaB + self.L) / (2.0 * self.varsigma_min**2))
+            * (self.kappaB + self.L) / (2.0 * self.varsigma**2))
 
 
 def constants_from_run(record: RunRecord, L: float, Gamma0: float) -> TheoryConstants:
@@ -499,22 +501,17 @@ def constants_from_run(record: RunRecord, L: float, Gamma0: float) -> TheoryCons
     kappa_g = max(1.0,
                   float(np.max(np.abs(gs))),
                   float(np.sqrt(np.max(gs[0] ** 2) + strat.varsigma)) * (1.0 + 1e-12))
-    bnorms = trace.get("bnorm")
-    kappaB = max(1.0, float(np.max(bnorms))) if bnorms is not None and len(bnorms) else 1.0
     is_maxg = strat.kind.startswith("maxg")
     return TheoryConstants(
         n=gs.shape[1],
         mu=strat.nu if is_maxg else strat.mu,
         varsigma=strat.varsigma,
-        vartheta=1.0,  # the scaling rules emit the top of the admissible interval
         tau=record.config.tau,
-        kappaB=kappaB,
+        kappaB=float(np.max(trace["bnorm"], initial=1.0)),
         L=L,
         kappa_g=kappa_g,
         Gamma0=Gamma0,
         nu=strat.nu if is_maxg else None,
-        kappa_w=kappa_g if is_maxg else None,
-        varsigma_min=strat.floor if is_maxg else None,
     )
 
 
@@ -529,9 +526,12 @@ def theory_check(record: RunRecord, constants: TheoryConstants, regime: str) -> 
     mean-square bound of the matching regime; in the iteration-power regime,
     the windowed bound beyond the computable index j_theta.  Returns a report
     with violation counts (all-zero means the run is consistent with theory).
+    A ``regime`` other than ``constants.regime`` raises :class:`ConfigMismatch`.
     """
     if regime not in REGIMES:
         raise InvalidParameter(f"unknown regime {regime!r}")
+    if regime != constants.regime:
+        raise ConfigMismatch(f"regime {regime!r} does not govern {constants.regime!r} constants")
     gn = record.trace["gnorm"] if record.trace else None
     if gn is None or len(gn) == 0:
         raise MissingConstants("theory checks need the gradient-norm trace")

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import InvalidParameter, NonFiniteInput, NonFiniteValue
 from .model import HessianModel, update_model
-from .problems import NoisyProblem, Problem
+from .problems import NoisyProblem, Problem, noise_setting
 from .scaling import ScalingStrategy, euclidean_norm, init_scaling, update_scaling
 from .step import NORMS, cauchy_point, make_region, model_value, solve_tr_step
 
@@ -81,10 +81,7 @@ class RunConfig:
             raise InvalidParameter(f"eps must be > 0, got {self.eps}")
         if self.max_iter < 1:
             raise InvalidParameter("max_iter must be >= 1")
-        if not 0.0 <= self.noise_level < math.inf:  # NaN included
-            raise InvalidParameter(f"noise level must be finite and >= 0, got {self.noise_level}")
-        if not 0 <= self.noise_seed < 2**128:
-            raise InvalidParameter(f"noise seed must lie in [0, 2**128), got {self.noise_seed}")
+        noise_setting(self.noise_level, self.noise_seed)
 
 
 def variant_config(tag: str, **overrides) -> RunConfig:
@@ -274,9 +271,7 @@ def astr1(problem: Problem, config: RunConfig) -> RunRecord:
             feasible = math.sqrt(s.dot(s)) <= tr.radius * (1.0 + 1e-12)
         if not feasible:
             counters["sbound_violations"] += 1
-        q_s = model_value(g, model, s)
-        q_c = q_s if s is cp.sQ else model_value(g, model, cp.sQ)
-        if q_s > tau * q_c:
+        if model_value(g, model, s) > tau * cp.q:
             counters["gcp_violations"] += 1
 
         if keep_trace:

@@ -13,6 +13,7 @@ Philox block, keyed by a seed in [0, 2**128).
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional
 
@@ -57,7 +58,6 @@ class Problem:
     g: Callable[[np.ndarray], np.ndarray]
     h: Optional[Callable[[np.ndarray], np.ndarray]] = None
     f_ref: Optional[float] = None
-    f_ref_provenance: Optional[str] = None  # "literature" | "reference-run"
 
     def value(self, x) -> float:
         return self.evaluate(x, ("value",))["value"]
@@ -131,6 +131,20 @@ def _nonfinite(out: dict) -> Optional[str]:
     return None
 
 
+def noise_setting(level: float, seed: int) -> tuple:
+    """``(level, seed)`` as a finite float >= 0 and an int in [0, 2**128), the
+    128-bit Philox key (a wider seed would alias one inside), else an error."""
+    if not 0.0 <= level < math.inf:  # NaN included
+        raise InvalidParameter(f"noise level must be finite and >= 0, got {level}")
+    try:
+        index = operator.index(seed)
+    except TypeError:
+        raise InvalidParameter(f"noise seed must be an integer, got {seed!r}") from None
+    if not 0 <= index < 2**128:
+        raise InvalidParameter(f"noise seed must lie in [0, 2**128), got {seed}")
+    return float(level), index
+
+
 class NoisyProblem:
     """The per-run oracle of a problem: call counts and relative noise.
 
@@ -155,13 +169,8 @@ class NoisyProblem:
     _KIND_INDEX = {"value": 0, "gradient": 1, "hessian": 2}
 
     def __init__(self, base: Problem, level: float, seed: int):
-        if level < 0:
-            raise InvalidParameter(f"noise level must be >= 0, got {level}")
-        if not 0 <= seed < 2**128:  # the 128-bit Philox key; a wider seed would alias
-            raise InvalidParameter(f"noise seed must lie in [0, 2**128), got {seed}")
         self.base = base
-        self.level = float(level)
-        self.seed = int(seed)
+        self.level, self.seed = noise_setting(level, seed)
         self.counts = dict.fromkeys(WANT_KINDS + ("fd_gradient",), 0)
         self._query_index = 0
         key = [self.seed & 0xFFFFFFFFFFFFFFFF, self.seed >> 64]
@@ -227,7 +236,6 @@ def diag_quadratic(lambdas, x0, name: str = "diagquad") -> Problem:
         g=lambda x: lam * x,
         h=lambda x: np.diag(lam),
         f_ref=0.0,
-        f_ref_provenance="literature",
     )
 
 
@@ -244,7 +252,7 @@ def _register(builder):
     return builder
 
 
-def _least_squares(name, x0, residuals, h, f_ref, provenance) -> Problem:
+def _least_squares(name, x0, residuals, h, f_ref) -> Problem:
     """The sum-of-squares problem f = r.r, g = 2 J'r.
 
     ``residuals(x, jac)`` returns the residual vector r, or ``(r, J)`` with
@@ -258,7 +266,7 @@ def _least_squares(name, x0, residuals, h, f_ref, provenance) -> Problem:
         r, jac = residuals(x, True)
         return 2.0 * jac.T @ r
 
-    return Problem(name, x0.size, x0, f, g, h, f_ref, provenance)
+    return Problem(name, x0.size, x0, f, g, h, f_ref)
 
 
 @_register
@@ -273,7 +281,7 @@ def _arglina():
     def h(x):
         return 2.0 * np.eye(n)
 
-    return _least_squares("arglina", np.ones(n), residuals, h, 10.0, "literature")
+    return _least_squares("arglina", np.ones(n), residuals, h, 10.0)
 
 
 @_register
@@ -299,7 +307,7 @@ def _arwhead():
         out[-1, -1] = np.sum(4.0 * (x[:-1] ** 2 + 3.0 * x[-1] ** 2))
         return out
 
-    return Problem("arwhead", n, np.ones(n), f, g, h, 0.0, "literature")
+    return Problem("arwhead", n, np.ones(n), f, g, h, 0.0)
 
 
 @_register
@@ -317,7 +325,7 @@ def _bard():
             return r
         return r, np.column_stack((np.full(u.size, -1.0), u * v / d**2, u * w / d**2))
 
-    return _least_squares("bard", np.ones(3), residuals, None, 8.21487730657896e-3, "literature")
+    return _least_squares("bard", np.ones(3), residuals, None, 8.21487730657896e-3)
 
 
 @_register
@@ -339,7 +347,7 @@ def _beale():
         out[1, 1] += 2.0 * float(r @ (p * (p - 1.0) * x[0] * x[1] ** (p - 2.0)))
         return out
 
-    return _least_squares("beale", np.array([1.0, 1.0]), residuals, h, 0.0, "literature")
+    return _least_squares("beale", np.array([1.0, 1.0]), residuals, h, 0.0)
 
 
 @_register
@@ -354,7 +362,7 @@ def _booth():
     def h(x):
         return 2.0 * a.T @ a
 
-    return _least_squares("booth", np.zeros(2), residuals, h, 0.0, "literature")
+    return _least_squares("booth", np.zeros(2), residuals, h, 0.0)
 
 
 @_register
@@ -369,7 +377,7 @@ def _box3():
             return r
         return r, np.column_stack((-t * e0, t * e1, -c))
 
-    return _least_squares("box3", np.array([0.0, 10.0, 20.0]), residuals, None, 0.0, "literature")
+    return _least_squares("box3", np.array([0.0, 10.0, 20.0]), residuals, None, 0.0)
 
 
 @_register
@@ -389,7 +397,7 @@ def _brownal():
         out[-1] = x[others].prod(axis=1)  # robust at zero coordinates
         return r, out
 
-    return _least_squares("brownal", np.full(n, 0.5), residuals, None, 0.0, "literature")
+    return _least_squares("brownal", np.full(n, 0.5), residuals, None, 0.0)
 
 
 @_register
@@ -402,7 +410,7 @@ def _broyden3d():
         r = (3.0 - 2.0 * x) * x + band @ x + 1.0
         return (r, band + np.diag(3.0 - 4.0 * x)) if jac else r
 
-    return _least_squares("broyden3d", -np.ones(n), residuals, None, 0.0, "literature")
+    return _least_squares("broyden3d", -np.ones(n), residuals, None, 0.0)
 
 
 @_register
@@ -435,7 +443,8 @@ def _chebyqad():
         return r, dv / n
 
     x0 = np.arange(1.0, n + 1.0) / (n + 1.0)
-    return _least_squares("chebyqad", x0, residuals, None, 4.77271369637534e-3, "reference-run")
+    # f_ref comes from a reference run, not from the literature
+    return _least_squares("chebyqad", x0, residuals, None, 4.77271369637534e-3)
 
 
 @_register
@@ -451,7 +460,7 @@ def _cliff():
         e = np.exp(20.0 * (x[0] - x[1]))
         return np.array([[2e-4 + 400.0 * e, -400.0 * e], [-400.0 * e, 400.0 * e]])
 
-    return Problem("cliff", 2, np.array([0.0, -1.0]), f, g, h, 0.19978661367770, "literature")
+    return Problem("cliff", 2, np.array([0.0, -1.0]), f, g, h, 0.19978661367770)
 
 
 @_register
@@ -467,7 +476,7 @@ def _cube():
             [-600.0 * x[0] ** 2, 200.0],
         ])
 
-    return _least_squares("cube", np.array([-1.2, 1.0]), residuals, h, 0.0, "literature")
+    return _least_squares("cube", np.array([-1.2, 1.0]), residuals, h, 0.0)
 
 
 @_register
@@ -489,7 +498,7 @@ def _dixmaana():
         out[2 * m : 3 * m] += delta * x[:m]
         return out
 
-    return Problem("dixmaana", n, 2.0 * np.ones(n), f, g, None, 1.0, "literature")
+    return Problem("dixmaana", n, 2.0 * np.ones(n), f, g, None, 1.0)
 
 
 @_register
@@ -504,7 +513,7 @@ def _dqartic():
     def h(x):
         return np.diag(12.0 * (x - i) ** 2)
 
-    return _least_squares("dqartic", 2.0 * np.ones(n), residuals, h, 0.0, "literature")
+    return _least_squares("dqartic", 2.0 * np.ones(n), residuals, h, 0.0)
 
 
 @_register
@@ -524,7 +533,8 @@ def _freuroth():
         return r, at_a + d[:, None] * at_b
 
     x0 = np.array([0.5, -2.0, 0.5, -2.0])
-    return _least_squares("freuroth", x0, residuals, None, 2.85503407977690, "reference-run")
+    # f_ref comes from a reference run, not from the literature
+    return _least_squares("freuroth", x0, residuals, None, 2.85503407977690)
 
 
 @_register
@@ -541,7 +551,7 @@ def _helix():
         return r, np.array([[c * x[1], -c * x[0], 10.0],
                             [10.0 * x[0] / rad, 10.0 * x[1] / rad, 0.0], [0.0, 0.0, 1.0]])
 
-    return _least_squares("helix", np.array([-1.0, 0.0, 0.0]), residuals, None, 0.0, "literature")
+    return _least_squares("helix", np.array([-1.0, 0.0, 0.0]), residuals, None, 0.0)
 
 
 @_register
@@ -559,7 +569,7 @@ def _hilbert():
     def h(x):
         return a.copy()
 
-    return Problem("hilbert", n, np.ones(n), f, g, h, 0.0, "literature")
+    return Problem("hilbert", n, np.ones(n), f, g, h, 0.0)
 
 
 @_register
@@ -587,7 +597,7 @@ def _integreq():
         du = 3.0 * (x + t + 1.0) ** 2
         return r, eye + hw * du[None, :] / 2.0
 
-    return _least_squares("integreq", t * (t - 1.0), residuals, None, 0.0, "literature")
+    return _least_squares("integreq", t * (t - 1.0), residuals, None, 0.0)
 
 
 @_register
@@ -599,8 +609,7 @@ def _jensmp():
         r = 2.0 + 2.0 * i - (e0 + e1)
         return (r, np.column_stack((-i * e0, -i * e1))) if jac else r
 
-    return _least_squares("jensmp", np.array([0.3, 0.4]), residuals, None, 124.362182355615,
-                          "literature")
+    return _least_squares("jensmp", np.array([0.3, 0.4]), residuals, None, 124.362182355615)
 
 
 @_register
@@ -619,7 +628,7 @@ def _kowosb():
         return r, -np.column_stack((q, x[0] * u / den, -x[0] * q * u / den, -x[0] * q / den))
 
     x0 = np.array([0.25, 0.39, 0.415, 0.39])
-    return _least_squares("kowosb", x0, residuals, None, 3.07505603849239e-4, "literature")
+    return _least_squares("kowosb", x0, residuals, None, 3.07505603849239e-4)
 
 
 @_register
@@ -637,7 +646,7 @@ def _morebv():
             return r
         return r, band + np.diag(2.0 + 1.5 * hstep**2 * (x + t + 1.0) ** 2)
 
-    return _least_squares("morebv", t * (t - 1.0), residuals, None, 0.0, "literature")
+    return _least_squares("morebv", t * (t - 1.0), residuals, None, 0.0)
 
 
 @_register
@@ -666,7 +675,7 @@ def _osborneb():
         return r, -np.column_stack((e, -t * x[0] * e[:, 0], -(d**2) * a, 2.0 * d * x[5:8] * a))
 
     x0 = np.array([1.3, 0.65, 0.65, 0.7, 0.6, 3.0, 5.0, 7.0, 2.0, 4.5, 5.5])
-    return _least_squares("osborneb", x0, residuals, None, 4.01377362935477e-2, "literature")
+    return _least_squares("osborneb", x0, residuals, None, 4.01377362935477e-2)
 
 
 @_register
@@ -688,8 +697,7 @@ def _penalty1():
         s = np.sum(x**2) - 0.25
         return (2.0 * a + 4.0 * s) * np.eye(n) + 8.0 * np.outer(x, x)
 
-    return _least_squares("penalty1", np.arange(1.0, n + 1.0), residuals, h, 7.08765146709037e-5,
-                          "literature")
+    return _least_squares("penalty1", np.arange(1.0, n + 1.0), residuals, h, 7.08765146709037e-5)
 
 
 @_register
@@ -730,7 +738,7 @@ def _powellsg():
         return out
 
     x0 = np.tile([3.0, -1.0, 0.0, 1.0], nb)
-    return _least_squares("powellsg", x0, residuals, h, 0.0, "literature")
+    return _least_squares("powellsg", x0, residuals, h, 0.0)
 
 
 @_register
@@ -758,7 +766,7 @@ def _rosenbr():
         return out
 
     x0 = np.tile([-1.2, 1.0], n // 2)
-    return _least_squares("rosenbr", x0, residuals, h, 0.0, "literature")
+    return _least_squares("rosenbr", x0, residuals, h, 0.0)
 
 
 @_register
@@ -778,7 +786,7 @@ def _sisser():
             [-8.0 * x[0] * x[1], -4.0 * x[0] ** 2 + 36.0 * x[1] ** 2],
         ])
 
-    return Problem("sisser", 2, np.array([1.0, 0.1]), f, g, h, 0.0, "literature")
+    return Problem("sisser", 2, np.array([1.0, 0.1]), f, g, h, 0.0)
 
 
 @_register
@@ -803,7 +811,7 @@ def _tridia():
         out[idx, idx - 1] = out[idx - 1, idx] = -4.0 * i
         return out
 
-    return _least_squares("tridia", np.ones(n), residuals, h, 0.0, "literature")
+    return _least_squares("tridia", np.ones(n), residuals, h, 0.0)
 
 
 @_register
@@ -825,7 +833,7 @@ def _vardim():
         s = float(i @ (x - 1.0))
         return 2.0 * np.eye(n) + (2.0 + 12.0 * s**2) * np.outer(i, i)
 
-    return _least_squares("vardim", 1.0 - i / n, residuals, h, 0.0, "literature")
+    return _least_squares("vardim", 1.0 - i / n, residuals, h, 0.0)
 
 
 @_register
@@ -847,8 +855,7 @@ def _watson():
         out[30, 0] = -2.0 * x[0]
         return r, out
 
-    return _least_squares("watson", np.zeros(n), residuals, None, 4.72238110338512e-10,
-                          "literature")
+    return _least_squares("watson", np.zeros(n), residuals, None, 4.72238110338512e-10)
 
 
 @_register
@@ -886,7 +893,7 @@ def _woods():
         return out
 
     x0 = np.tile([-3.0, -1.0, -3.0, -1.0], nb)
-    return _least_squares("woods", x0, residuals, h, 0.0, "literature")
+    return _least_squares("woods", x0, residuals, h, 0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -52,11 +52,12 @@ def make_region(norm: str, g: np.ndarray, w: np.ndarray) -> TrustRegion:
 
 @dataclass(slots=True)
 class CauchyData:
-    """Scaled steepest-descent step sL and the model's minimizer sQ along it
-    (not frozen, like :class:`TrustRegion`)."""
+    """Scaled steepest-descent step sL, the model's minimizer sQ along it and
+    the model value q at sQ (not frozen, like :class:`TrustRegion`)."""
 
     sL: np.ndarray
     sQ: np.ndarray
+    q: float
 
 
 def model_value(g: np.ndarray, model: HessianModel, s: np.ndarray) -> float:
@@ -77,10 +78,11 @@ def cauchy_point(g: np.ndarray, model: HessianModel, tr: TrustRegion) -> CauchyD
     if not math.isfinite(gsl) and not np.isfinite(g).all():
         raise NonFiniteInput("gradient contains NaN or inf")
     if model.is_zero and sL.shape == (model.n,):
-        return CauchyData(sL, sL)  # a linear model is least at the full step
+        return CauchyData(sL, sL, gsl)  # a linear model is least at the full step
     curv = float(sL @ apply_model(model, sL))
     gamma = min(1.0, abs(gsl) / curv) if curv > 0.0 else 1.0
-    return CauchyData(sL, gamma * sL)
+    sQ = gamma * sL
+    return CauchyData(sL, sQ, model_value(g, model, sQ))
 
 
 def solve_tr_step(
@@ -90,7 +92,7 @@ def solve_tr_step(
     tau: float = 0.1,
     cauchy: CauchyData = None,
 ) -> np.ndarray:
-    """Approximately minimize the quadratic model inside the trust region.
+    """Approximately minimize the quadratic model (``g`` a float array) in the region.
 
     Runs projected truncated CG on the box (inf norm) or Steihaug-Toint CG on
     the ball (two norm).  The ball solver stops at the first crossing of
@@ -107,7 +109,6 @@ def solve_tr_step(
     cp = cauchy if cauchy is not None else cauchy_point(g, model, tr)
     if model.is_zero:
         return cp.sL  # exact box/ball minimizer of the linear model
-    g = np.asarray(g, dtype=float)
 
     if tr.norm == "inf":
         if model.kind == "bb":
@@ -120,11 +121,7 @@ def solve_tr_step(
     else:
         s = _steihaug_toint(g, model, tr.radius)
 
-    q_s = model_value(g, model, s)
-    q_cauchy = model_value(g, model, cp.sQ)
-    if q_s <= tau * q_cauchy:
-        return s
-    return cp.sQ
+    return s if model_value(g, model, s) <= tau * cp.q else cp.sQ
 
 
 def _cg_tol(g: np.ndarray) -> float:

@@ -38,13 +38,13 @@ class TestSuccess:
 
     def test_relative_clause(self):
         p = Problem("t", 1, np.zeros(1), lambda x: 0.0,
-                    lambda x: np.zeros(1), f_ref=1.0, f_ref_provenance="literature")
+                    lambda x: np.zeros(1), f_ref=1.0)
         assert success(self._summary(1e-3, 1.0 + 5e-8), p)
         assert not success(self._summary(1e-3, 1.0 + 5e-7), p)
 
     def test_absolute_clause_for_tiny_optimum(self):
         p = Problem("t", 1, np.zeros(1), lambda x: 0.0,
-                    lambda x: np.zeros(1), f_ref=0.0, f_ref_provenance="literature")
+                    lambda x: np.zeros(1), f_ref=0.0)
         assert success(self._summary(1e-3, 5e-8), p)
         assert not success(self._summary(1e-3, 5e-7), p)
 

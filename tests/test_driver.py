@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from offo import driver
+from offo import step as step_module
 from offo.driver import (
     ARMIJO_MAX_BACKTRACKS,
     MODELS,
@@ -179,6 +180,41 @@ class TestAssertions:
         assert rec.counters["sbound_violations"] == 0
         assert rec.counters["gcp_violations"] == 0
         assert rec.counters["wfloor_violations"] == 0
+
+    @pytest.mark.parametrize("tag, per_step", [("adagi1", {"zero": 1}),
+                                               ("b1adagi1", {"zero": 1, "model": 3}),
+                                               ("lmadagi3b", {"zero": 1, "model": 3}),
+                                               ("Eadagi1", {"model": 3})])
+    def test_model_value_calls_per_step(self, monkeypatch, tag, per_step):
+        # the Cauchy value is taken once, in cauchy_point, and shared by the
+        # solver's fallback test and the driver's Cauchy-fraction check
+        events = []
+        model_value = step_module.model_value
+
+        def cauchy(g, model, tr):
+            events.append("zero" if model.is_zero else "model")
+            return step_module.cauchy_point(g, model, tr)
+
+        def counting(g, model, s):
+            events.append("value")
+            return model_value(g, model, s)
+
+        monkeypatch.setattr(driver, "cauchy_point", cauchy)
+        monkeypatch.setattr(driver, "model_value", counting)
+        monkeypatch.setattr(step_module, "model_value", counting)
+        (p,) = load_suite(["beale"])
+        rec = run_variant(p, tag, max_iter=30)
+        steps = []  # [model kind, model_value calls] per step
+        for event in events:
+            if event == "value":
+                steps[-1][1] += 1
+            else:
+                steps.append([event, 0])
+        assert len(steps) == rec.iters == 30
+        calls = {}
+        for kind, count in steps:
+            calls.setdefault(kind, set()).add(count)
+        assert calls == {kind: {count} for kind, count in per_step.items()}
 
 
 class TestOverflow:
@@ -407,6 +443,12 @@ class TestConfig:
     def test_out_of_range_value_rejected_when_built(self, field, value):
         with pytest.raises(InvalidParameter, match=field.split("_")[0]):
             RunConfig(**{field: value})
+
+    @pytest.mark.parametrize("seed", [1.5, 2.0, "3"])
+    def test_non_integer_noise_seed_rejected_when_built(self, seed):
+        # a run would otherwise use int(seed) while its record keeps the seed as given
+        with pytest.raises(InvalidParameter, match="noise seed must be an integer"):
+            RunConfig(noise_seed=seed)
 
     @pytest.mark.parametrize("override", [{"model": "zero"}, {"model": "lbfgs"},
                                           {"model": "nope"}, {"norm": "2"},

@@ -127,11 +127,41 @@ class TestZeroModelShortcuts:
         m = bb_model(2.0, 2)
         g = np.array([1.0, -1.0])
         cp = cauchy_point(g, m, make_region("inf", g, np.ones(2)))
-        assert len(products) == 1
+        # one product for the curvature along sL, one for the model value at sQ
+        assert len(products) == 2
         # q(gamma sL) = -2 gamma + 2 gamma^2 is least at gamma = 1/2
         np.testing.assert_array_equal(cp.sQ, 0.5 * cp.sL)
-        assert model_value(g, m, cp.sQ) == -0.5
-        assert len(products) == 2
+        assert cp.q == model_value(g, m, cp.sQ) == -0.5
+        assert len(products) == 3
+
+
+def _models(n, rng):
+    """A zero model, bb models with sigma = 0 and 2, an lbfgs model and an
+    exact (dense symmetric) model, all n-dimensional."""
+    lbfgs = HessianModel("lbfgs", n)
+    for _ in range(3):
+        s = rng.standard_normal(n)
+        update_model(lbfgs, s, rng.uniform(0.5, 2.0, n) * s)
+    a = rng.standard_normal((n, n))
+    return [HessianModel("zero", n), HessianModel("bb", n), bb_model(2.0, n), lbfgs,
+            exactish_model((a + a.T) / 2)]
+
+
+@pytest.mark.parametrize("norm", ["inf", "two"])
+def test_cauchy_value_is_the_model_value_at_sQ_bit_for_bit(norm):
+    rng = np.random.default_rng(13)
+    for n in (1, 3, 12):
+        models = _models(n, rng)
+        assert [m.kind for m in models] == ["zero", "bb", "bb", "lbfgs", "exact"]
+        assert [m.is_zero for m in models] == [True, True, False, False, False]
+        for model in models:
+            for _ in range(20):
+                g = rng.standard_normal(n) * 10.0 ** rng.uniform(-3, 3, n)
+                w = 10.0 ** rng.uniform(-2, 2, n)
+                cp = cauchy_point(g, model, make_region(norm, g, w))
+                assert type(cp.q) is float
+                assert np.float64(cp.q).tobytes() == np.float64(
+                    model_value(g, model, cp.sQ)).tobytes()
 
 
 class TestSolveBox:
@@ -265,10 +295,11 @@ def _cauchy_point_reference(g, model, tr):
     if not math.isfinite(gsl) and not np.isfinite(g).all():
         raise NonFiniteInput("gradient contains NaN or inf")
     if model.is_zero and sL.shape == (model.n,):
-        return CauchyData(sL, sL)
+        return CauchyData(sL, sL, model_value(g, model, sL))
     curv = float(sL @ apply_model(model, sL))
     gamma = min(1.0, abs(gsl) / curv) if curv > 0.0 else 1.0
-    return CauchyData(sL, gamma * sL)
+    sQ = gamma * sL
+    return CauchyData(sL, sQ, model_value(g, model, sQ))
 
 
 #: zeros of both signs, subnormals, values near overflow and non-finite values
@@ -287,7 +318,7 @@ def _cauchy_outcome(cauchy, g, model, tr):
         cp = cauchy(g, model, tr)
     except NonFiniteInput:
         return NonFiniteInput
-    return cp.sL.tobytes(), cp.sQ.tobytes()
+    return cp.sL.tobytes(), cp.sQ.tobytes(), np.float64(cp.q).tobytes()
 
 
 @pytest.mark.parametrize("norm", ["inf", "two"])

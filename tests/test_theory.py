@@ -14,7 +14,7 @@ from offo.bench import (
     theory_check,
 )
 from offo.driver import RunConfig, astr1
-from offo.errors import InvalidParameter, MissingConstants
+from offo.errors import ConfigMismatch, InvalidParameter, MissingConstants
 from offo.scaling import ScalingStrategy
 
 
@@ -153,7 +153,7 @@ class TestConstants:
 
     def test_ming_constants(self):
         _, c = _testbed_run(kind="maxg-comp", mu=0.1, nu=0.1)
-        assert c.varsigma_min == 0.01
+        assert c.varsigma == 0.01 and c.regime == "ming"
         assert np.isfinite(c.kappa_diamond) and c.kappa_diamond > 0
         assert c.j_theta > 1e40  # enormous for the default parameters
 
@@ -201,6 +201,24 @@ class TestTheoryCheck:
         assert report["checks"]["ming_window"].get("vacuous") is None
         assert report["violations"] == 0
 
+    @pytest.mark.parametrize("mu", [0.25, 0.75])
+    def test_mean_square_bound_of_another_regime_raises(self, mu):
+        # the mu = 1/2 bounds do not govern these runs, so no report may pass them
+        record, constants = _testbed_run(mu=mu)
+        with pytest.raises(ConfigMismatch, match="mu_eq_half"):
+            theory_check(record, constants, "mu_eq_half")
+
+    def test_iteration_power_and_accumulator_regimes_do_not_mix(self):
+        record, constants = _testbed_run(kind="maxg-comp", mu=0.5, nu=0.5)
+        assert constants.regime == "ming"
+        with pytest.raises(ConfigMismatch):
+            theory_check(record, constants, "mu_eq_half")
+        with pytest.raises(MissingConstants):
+            constants.kappa_order
+        record, constants = _testbed_run(mu=0.5)
+        with pytest.raises(ConfigMismatch):
+            theory_check(record, constants, "ming")
+
     def test_unknown_regime(self):
         record, constants = _testbed_run()
         with pytest.raises(InvalidParameter):
@@ -225,7 +243,7 @@ def test_constants_require_trace():
 
 def test_theory_constants_validation():
     with pytest.raises(MissingConstants):
-        TheoryConstants(n=1, mu=0.5, varsigma=0.01, vartheta=1.0, tau=0.1,
+        TheoryConstants(n=1, mu=0.5, varsigma=0.01, tau=0.1,
                         kappaB=np.nan, L=1.0, kappa_g=1.0, Gamma0=1.0)
 
 
