@@ -28,8 +28,9 @@ from .errors import (
     MissingConstants,
     MissingReference,
     NonFiniteValue,
+    integer,
 )
-from .problems import Problem, diag_quadratic
+from .problems import Problem, diag_quadratic, noise_setting
 from .scaling import ScalingStrategy, euclidean_norm
 from .sharpness import lambert_wm1
 
@@ -127,14 +128,12 @@ def run_matrix(variants: Iterable[str], problems: Iterable[Problem],
     """
     variants = list(variants)
     problems = list(problems)
-    noise_levels = [float(v) for v in noise_levels]
+    noise_levels = [noise_setting(float(level))[0] for level in noise_levels]
     if not variants or not problems or not noise_levels:
         raise InvalidParameter("variants, problems and noise levels must be nonempty")
-    if not all(0.0 <= v < np.inf for v in noise_levels):  # NaN included
-        raise InvalidParameter(f"noise levels must be finite and >= 0, got {noise_levels}")
-    if reps < 1:
+    if integer(reps, "reps") < 1:
         raise InvalidParameter("reps must be >= 1")
-    if master_seed < 0:
+    if integer(master_seed, "master seed") < 0:
         raise InvalidParameter(f"master seed must be >= 0, got {master_seed}")
 
     cells = []

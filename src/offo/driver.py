@@ -16,7 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import InvalidParameter, NonFiniteInput, NonFiniteValue
+from .errors import InvalidParameter, NonFiniteInput, NonFiniteValue, integer
 from .model import HessianModel, update_model
 from .problems import NoisyProblem, Problem, noise_setting
 from .scaling import ScalingStrategy, euclidean_norm, init_scaling, update_scaling
@@ -79,7 +79,7 @@ class RunConfig:
             raise InvalidParameter(f"tau must lie in (0,1], got {self.tau}")
         if not self.eps > 0:  # NaN included
             raise InvalidParameter(f"eps must be > 0, got {self.eps}")
-        if self.max_iter < 1:
+        if integer(self.max_iter, "max_iter") < 1:
             raise InvalidParameter("max_iter must be >= 1")
         noise_setting(self.noise_level, self.noise_seed)
 

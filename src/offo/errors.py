@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the integer check of a setting."""
+
+import operator
 
 
 class OffoError(Exception):
@@ -43,3 +45,12 @@ class ConfigMismatch(OffoError):
 
 class OutOfDomain(OffoError):
     """A query lies outside the domain where a function is defined."""
+
+
+def integer(value, what: str) -> int:
+    """``value`` as an int by ``operator.index``, so that a float such as 1.5
+    or 1e4 is rejected, not truncated; else :class:`InvalidParameter`."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise InvalidParameter(f"{what} must be an integer, got {value!r}") from None

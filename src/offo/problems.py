@@ -5,15 +5,15 @@ collection (More-Garbow-Hillstrom / CUTE style definitions), each problem
 carrying value/gradient/Hessian oracles, a standard starting point and a
 reference optimal value used by the success criterion of the benchmark
 harness.  Each of the 24 sums of squares is defined once, by its residuals
-and their Jacobian, and ``_least_squares`` derives f = r.r and g = 2 J'r
-from them.  ``NoisyProblem`` draws the noise of each query from its own
-Philox block, keyed by a seed in [0, 2**128).
+and their Jacobian, and ``_least_squares`` derives f = r.r, g = 2 J'r and,
+where the residuals' own curvature is given, h = 2 (J'J + C) from them.
+``NoisyProblem`` draws the noise of each query from its own Philox block,
+keyed by a seed in [0, 2**128).
 """
 
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional
 
@@ -24,6 +24,7 @@ from .errors import (
     InvalidParameter,
     NonFiniteValue,
     UnknownProblem,
+    integer,
 )
 
 WANT_KINDS = ("value", "gradient", "hessian")
@@ -131,15 +132,12 @@ def _nonfinite(out: dict) -> Optional[str]:
     return None
 
 
-def noise_setting(level: float, seed: int) -> tuple:
+def noise_setting(level: float, seed: int = 0) -> tuple:
     """``(level, seed)`` as a finite float >= 0 and an int in [0, 2**128), the
     128-bit Philox key (a wider seed would alias one inside), else an error."""
     if not 0.0 <= level < math.inf:  # NaN included
         raise InvalidParameter(f"noise level must be finite and >= 0, got {level}")
-    try:
-        index = operator.index(seed)
-    except TypeError:
-        raise InvalidParameter(f"noise seed must be an integer, got {seed!r}") from None
+    index = integer(seed, "noise seed")
     if not 0 <= index < 2**128:
         raise InvalidParameter(f"noise seed must lie in [0, 2**128), got {seed}")
     return float(level), index
@@ -173,8 +171,7 @@ class NoisyProblem:
         self.level, self.seed = noise_setting(level, seed)
         self.counts = dict.fromkeys(WANT_KINDS + ("fd_gradient",), 0)
         self._query_index = 0
-        key = [self.seed & 0xFFFFFFFFFFFFFFFF, self.seed >> 64]
-        self._bitgen = np.random.Philox(counter=[0, 0, 0, 0], key=key)
+        self._bitgen = np.random.Philox(counter=[0, 0, 0, 0], key=self.seed)
         self._gen = np.random.Generator(self._bitgen)
         self._state = self._bitgen.state  # no draws yet, so the buffer is empty
         self._counter = self._state["state"]["counter"]
@@ -252,11 +249,14 @@ def _register(builder):
     return builder
 
 
-def _least_squares(name, x0, residuals, h, f_ref) -> Problem:
-    """The sum-of-squares problem f = r.r, g = 2 J'r.
+def _least_squares(name, x0, residuals, curvature, f_ref) -> Problem:
+    """The sum-of-squares problem f = r.r, g = 2 J'r, h = 2 (J'J + C).
 
     ``residuals(x, jac)`` returns the residual vector r, or ``(r, J)`` with
-    the Jacobian J[i, j] = dr_i/dx_j when ``jac`` is true.
+    the Jacobian J[i, j] = dr_i/dx_j when ``jac`` is true.  ``curvature(x,
+    r)`` returns C, the sum of each r_i times the Hessian of r_i; with
+    ``curvature`` None the problem has no analytic Hessian, and a Hessian
+    query differences ``g`` by ``fd_hessian``.
     """
     def f(x):
         r = residuals(x, False)
@@ -266,7 +266,16 @@ def _least_squares(name, x0, residuals, h, f_ref) -> Problem:
         r, jac = residuals(x, True)
         return 2.0 * jac.T @ r
 
-    return Problem(name, x0.size, x0, f, g, h, f_ref)
+    def h(x):
+        r, jac = residuals(x, True)
+        return 2.0 * (jac.T @ jac + curvature(x, r))
+
+    return Problem(name, x0.size, x0, f, g, None if curvature is None else h, f_ref)
+
+
+def _linear(x, r):
+    """The curvature of residuals that are linear in x."""
+    return 0.0
 
 
 @_register
@@ -278,10 +287,7 @@ def _arglina():
         r = a @ x - 1.0
         return (r, a) if jac else r
 
-    def h(x):
-        return 2.0 * np.eye(n)
-
-    return _least_squares("arglina", np.ones(n), residuals, h, 10.0)
+    return _least_squares("arglina", np.ones(n), residuals, _linear, 10.0)
 
 
 @_register
@@ -339,15 +345,11 @@ def _beale():
             return r
         return r, np.column_stack((-(1.0 - x[1] ** p), p * x[0] * x[1] ** (p - 1.0)))
 
-    def h(x):
-        # 2 J'J plus 2 sum_i r_i times the Hessian of r_i
-        r, jac = residuals(x, True)
-        out = 2.0 * jac.T @ jac
-        out[0, 1] = out[1, 0] = out[0, 1] + 2.0 * float(r @ (p * x[1] ** (p - 1.0)))
-        out[1, 1] += 2.0 * float(r @ (p * (p - 1.0) * x[0] * x[1] ** (p - 2.0)))
-        return out
+    def curvature(x, r):
+        c01 = r @ (p * x[1] ** (p - 1.0))
+        return np.array([[0.0, c01], [c01, r @ (p * (p - 1.0) * x[0] * x[1] ** (p - 2.0))]])
 
-    return _least_squares("beale", np.array([1.0, 1.0]), residuals, h, 0.0)
+    return _least_squares("beale", np.array([1.0, 1.0]), residuals, curvature, 0.0)
 
 
 @_register
@@ -359,10 +361,7 @@ def _booth():
         r = a @ x - b
         return (r, a) if jac else r
 
-    def h(x):
-        return 2.0 * a.T @ a
-
-    return _least_squares("booth", np.zeros(2), residuals, h, 0.0)
+    return _least_squares("booth", np.zeros(2), residuals, _linear, 0.0)
 
 
 @_register
@@ -469,14 +468,10 @@ def _cube():
         r = np.array([x[0] - 1.0, 10.0 * (x[1] - x[0] ** 3)])
         return (r, np.array([[1.0, 0.0], [-30.0 * x[0] ** 2, 10.0]])) if jac else r
 
-    def h(x):
-        r = x[1] - x[0] ** 3
-        return np.array([
-            [2.0 - 1200.0 * r * x[0] + 1800.0 * x[0] ** 4, -600.0 * x[0] ** 2],
-            [-600.0 * x[0] ** 2, 200.0],
-        ])
+    def curvature(x, r):
+        return np.array([[-60.0 * x[0] * r[1], 0.0], [0.0, 0.0]])
 
-    return _least_squares("cube", np.array([-1.2, 1.0]), residuals, h, 0.0)
+    return _least_squares("cube", np.array([-1.2, 1.0]), residuals, curvature, 0.0)
 
 
 @_register
@@ -510,10 +505,10 @@ def _dqartic():
         d = x - i
         return (d * d, np.diag(2.0 * d)) if jac else d * d
 
-    def h(x):
-        return np.diag(12.0 * (x - i) ** 2)
+    def curvature(x, r):
+        return np.diag(2.0 * r)
 
-    return _least_squares("dqartic", 2.0 * np.ones(n), residuals, h, 0.0)
+    return _least_squares("dqartic", 2.0 * np.ones(n), residuals, curvature, 0.0)
 
 
 @_register
@@ -683,7 +678,8 @@ def _penalty1():
     n = 10
     a = 1e-5
     sa = math.sqrt(a)
-    lin = np.vstack((sa * np.eye(n), np.zeros(n)))  # the last row, 2 x, varies
+    eye = np.eye(n)
+    lin = np.vstack((sa * eye, np.zeros(n)))  # the last row, 2 x, varies
 
     def residuals(x, jac):
         r = np.concatenate((sa * (x - 1.0), [x @ x - 0.25]))
@@ -693,11 +689,11 @@ def _penalty1():
         out[-1] = 2.0 * x
         return r, out
 
-    def h(x):
-        s = np.sum(x**2) - 0.25
-        return (2.0 * a + 4.0 * s) * np.eye(n) + 8.0 * np.outer(x, x)
+    def curvature(x, r):
+        return 2.0 * r[-1] * eye
 
-    return _least_squares("penalty1", np.arange(1.0, n + 1.0), residuals, h, 7.08765146709037e-5)
+    return _least_squares("penalty1", np.arange(1.0, n + 1.0), residuals, curvature,
+                          7.08765146709037e-5)
 
 
 @_register
@@ -711,6 +707,14 @@ def _powellsg():
     lin = np.einsum("tc,jk->tjkc", slopes, np.eye(nb)).reshape(-1, n)
     vary = np.ravel_multi_index(([[2], [2], [3], [3]], *np.diag_indices(nb), [[1], [2], [0], [3]]),
                                 (4, nb, nb, 4)).ravel()
+    # in each block, kind 2, (b - 2c)^2, has the Hessian 2 u u' with u = (0, 1, -2, 0)
+    # and kind 3, s10 (a - d)^2, has 2 s10 v v' with v = (1, 0, 0, -1); listed as
+    # (kind, slot, slot, weight), C's flat entries bend are weight times r[picked]
+    kind, row, col, weight = (np.array(c)[:, None] for c in zip(
+        (2, 1, 1, 2.0), (2, 1, 2, -4.0), (2, 2, 1, -4.0), (2, 2, 2, 8.0), (3, 0, 0, 2.0 * s10),
+        (3, 0, 3, -2.0 * s10), (3, 3, 0, -2.0 * s10), (3, 3, 3, 2.0 * s10)))
+    first = np.arange(0, n, 4)
+    bend, picked = ((first + row) * n + first + col).ravel(), kind * nb + np.arange(nb)
 
     def residuals(x, jac):
         a, b, c, d = x[0::4], x[1::4], x[2::4], x[3::4]
@@ -722,23 +726,13 @@ def _powellsg():
         out.flat[vary] = np.concatenate((p, -2.0 * p, q, -q))
         return r, out
 
-    def h(x):
-        out = np.zeros((n, n))
-        for k in range(0, n, 4):
-            a, b, c, d = x[k], x[k + 1], x[k + 2], x[k + 3]
-            q = 120.0 * (a - d) ** 2
-            p = 12.0 * (b - 2.0 * c) ** 2
-            blk = np.array([
-                [2.0 + q, 20.0, 0.0, -q],
-                [20.0, 200.0 + p, -2.0 * p, 0.0],
-                [0.0, -2.0 * p, 10.0 + 4.0 * p, -10.0],
-                [-q, 0.0, -10.0, 10.0 + q],
-            ])
-            out[k : k + 4, k : k + 4] = blk
-        return out
+    def curvature(x, r):
+        out = np.zeros(n * n)
+        out[bend] = (weight * r[picked]).ravel()
+        return out.reshape(n, n)
 
     x0 = np.tile([3.0, -1.0, 0.0, 1.0], nb)
-    return _least_squares("powellsg", x0, residuals, h, 0.0)
+    return _least_squares("powellsg", x0, residuals, curvature, 0.0)
 
 
 @_register
@@ -756,17 +750,11 @@ def _rosenbr():
         out.flat[: (n - 1) * (n + 1) : n + 1] = -20.0 * a
         return r, out
 
-    def h(x):
-        r = x[1:] - x[:-1] ** 2
-        out = np.zeros((n, n))
-        idx = np.arange(n - 1)
-        out[idx, idx] += -400.0 * r + 800.0 * x[:-1] ** 2 + 2.0
-        out[idx + 1, idx + 1] += 200.0
-        out[idx, idx + 1] = out[idx + 1, idx] = -400.0 * x[:-1]
-        return out
+    def curvature(x, r):
+        return np.diag(np.append(-20.0 * r[: n - 1], 0.0))
 
     x0 = np.tile([-1.2, 1.0], n // 2)
-    return _least_squares("rosenbr", x0, residuals, h, 0.0)
+    return _least_squares("rosenbr", x0, residuals, curvature, 0.0)
 
 
 @_register
@@ -802,16 +790,7 @@ def _tridia():
         r[0] -= 1.0
         return (r, a) if jac else r
 
-    def h(x):
-        out = np.zeros((n, n))
-        out[0, 0] = 2.0
-        idx = np.arange(1, n)
-        out[idx, idx] += 8.0 * i
-        out[idx - 1, idx - 1] += 2.0 * i
-        out[idx, idx - 1] = out[idx - 1, idx] = -4.0 * i
-        return out
-
-    return _least_squares("tridia", np.ones(n), residuals, h, 0.0)
+    return _least_squares("tridia", np.ones(n), residuals, _linear, 0.0)
 
 
 @_register
@@ -819,6 +798,7 @@ def _vardim():
     n = 10
     i = np.arange(1.0, n + 1.0)
     lin = np.vstack((np.eye(n), i, np.zeros(n)))  # the last row, 2 s i, varies
+    ii = np.outer(i, i)  # the Hessian of the last residual, s^2, over 2
 
     def residuals(x, jac):
         s = i @ (x - 1.0)
@@ -829,11 +809,10 @@ def _vardim():
         out[-1] = 2.0 * s * i
         return r, out
 
-    def h(x):
-        s = float(i @ (x - 1.0))
-        return 2.0 * np.eye(n) + (2.0 + 12.0 * s**2) * np.outer(i, i)
+    def curvature(x, r):
+        return 2.0 * r[-1] * ii
 
-    return _least_squares("vardim", 1.0 - i / n, residuals, h, 0.0)
+    return _least_squares("vardim", 1.0 - i / n, residuals, curvature, 0.0)
 
 
 @_register
@@ -879,21 +858,14 @@ def _woods():
         out.flat[vary] = np.concatenate((-20.0 * a, -2.0 * s90 * c))
         return r, out
 
-    def h(x):
-        out = np.zeros((n, n))
-        for k in range(0, n, 4):
-            a, b, c, d = x[k], x[k + 1], x[k + 2], x[k + 3]
-            blk = np.array([
-                [-400.0 * (b - a**2) + 800.0 * a**2 + 2.0, -400.0 * a, 0.0, 0.0],
-                [-400.0 * a, 220.2, 0.0, 19.8],
-                [0.0, 0.0, -360.0 * (d - c**2) + 720.0 * c**2 + 2.0, -360.0 * c],
-                [0.0, 19.8, -360.0 * c, 200.2],
-            ])
-            out[k : k + 4, k : k + 4] = blk
-        return out
+    def curvature(x, r):
+        # kind 0 is 10 (b - a^2) and kind 2 is sqrt(90) (d - c^2)
+        out = np.zeros(n)
+        out[0::4], out[2::4] = -20.0 * r[:nb], -2.0 * s90 * r[2 * nb : 3 * nb]
+        return np.diag(out)
 
     x0 = np.tile([-3.0, -1.0, -3.0, -1.0], nb)
-    return _least_squares("woods", x0, residuals, h, 0.0)
+    return _least_squares("woods", x0, residuals, curvature, 0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -91,8 +91,14 @@ class TestRunMatrix:
 
     @pytest.mark.parametrize("level", [np.nan, np.inf, -0.1])
     def test_level_out_of_range_rejected_before_any_run(self, level):
-        with pytest.raises(InvalidParameter, match="noise levels"):
+        with pytest.raises(InvalidParameter, match="noise level must be finite"):
             run_matrix(["adagi1"], load_suite(["beale"]), [0.0, level])
+
+    @pytest.mark.parametrize("setting", ["reps", "master_seed"])
+    def test_non_integer_count_or_seed_rejected_before_any_run(self, setting):
+        # master_seed=1.5 would otherwise run master seed 1, and reps=1.5 fail inside range
+        with pytest.raises(InvalidParameter, match="must be an integer, got 1.5"):
+            run_matrix(["adagi1"], load_suite(["beale"]), [0.1], **{setting: 1.5})
 
 
 class TestProfileArea:

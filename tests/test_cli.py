@@ -125,7 +125,7 @@ class TestBench:
                    "--max-iter", "10", "--out", str(tmp_path / "r.csv"),
                    "--stats", str(tmp_path / "s.csv")])
         assert rc == 2
-        assert_one_line_error(capsys, "noise levels must be finite")
+        assert_one_line_error(capsys, "noise level must be finite")
 
 
 class TestSharpness:

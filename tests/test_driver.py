@@ -450,6 +450,12 @@ class TestConfig:
         with pytest.raises(InvalidParameter, match="noise seed must be an integer"):
             RunConfig(noise_seed=seed)
 
+    @pytest.mark.parametrize("max_iter", [1e4, 10.0, "10"])
+    def test_non_integer_max_iter_rejected_when_built(self, max_iter):
+        # not left to fail as a bare TypeError in range() once the run starts
+        with pytest.raises(InvalidParameter, match="max_iter must be an integer"):
+            RunConfig(max_iter=max_iter)
+
     @pytest.mark.parametrize("override", [{"model": "zero"}, {"model": "lbfgs"},
                                           {"model": "nope"}, {"norm": "2"},
                                           {"norm": "euclid"}])

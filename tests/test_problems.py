@@ -17,6 +17,7 @@ from offo.problems import (
     WANT_KINDS,
     NoisyProblem,
     Problem,
+    _least_squares,
     diag_quadratic,
     fd_hessian,
     load_suite,
@@ -250,6 +251,20 @@ class TestNoise:
             NoisyProblem(p, 0.1, seed)
         assert NoisyProblem(p, 0.1, 2**128 - 1).seed == 2**128 - 1
 
+    @pytest.mark.parametrize("seed", [2**63, 2**64 - 1, 2**64 + 2**63, 2**128 - 1])
+    def test_philox_key_is_the_seed_to_the_last_bit(self, seed):
+        """A key built as two words went through float64 when one word was at
+        least 2**63: 2**63 and 2**63 + 1 drew the same noise, and 2**64 - 1
+        warned of an invalid cast."""
+        (p,) = load_suite(["beale"])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            noisy, neighbour = NoisyProblem(p, 0.1, seed), NoisyProblem(p, 0.1, seed ^ 1)
+        key = noisy._bitgen.state["state"]["key"]
+        assert [int(word) for word in key] == [seed % 2**64, seed >> 64]
+        g = noisy.evaluate(p.x0, ("gradient",))["gradient"]
+        assert not np.array_equal(g, neighbour.evaluate(p.x0, ("gradient",))["gradient"])
+
     def test_unbiased_at_desk_scale(self):
         """Mean over 1e4 seeds matches the clean gradient componentwise to
         3 * level * |g| / 100 (a three-sigma band for that many draws)."""
@@ -457,6 +472,30 @@ def test_kernels_equal_the_loop_reference(name, data):
     f_ref, g_ref = KERNEL_REFERENCES[name](x)
     assert np.float64(p.f(x)).tobytes() == np.float64(f_ref).tobytes()
     assert p.g(x).tobytes() == g_ref.tobytes()
+
+
+def test_least_squares_hessian_is_two_jtj_plus_curvature():
+    """r = (x0^2 - 1, x1) has J = [[2 x0, 0], [0, 1]], and only r_0 curves,
+    with the Hessian [[2, 0], [0, 0]]; without a curvature the Hessian is
+    differenced."""
+    def residuals(x, jac):
+        r = np.array([x[0] ** 2 - 1.0, x[1]])
+        return (r, np.array([[2.0 * x[0], 0.0], [0.0, 1.0]])) if jac else r
+
+    def curvature(x, r):
+        return np.array([[2.0 * r[0], 0.0], [0.0, 0.0]])
+
+    p = _least_squares("synthetic", np.array([0.5, 1.0]), residuals, curvature, 0.0)
+    for x in (np.array([0.3, -1.7]), np.array([1.1, 2.0]), np.array([-2.5, 0.0])):
+        a = 2.0 * x[0]
+        expect = 2.0 * np.array([[a * a + 2.0 * (x[0] ** 2 - 1.0), 0.0], [0.0, 1.0]])
+        assert p.evaluate(x, ("hessian",))["hessian"].tobytes() == expect.tobytes()
+    fd = _least_squares("synthetic", p.x0, residuals, None, 0.0)
+    assert fd.h is None
+    oracle, x = NoisyProblem(fd, 0.0, 0), np.array([0.3, -1.7])
+    hess = oracle.evaluate(x, ("hessian",))["hessian"]
+    assert oracle.counts["fd_gradient"] == 2 * fd.n
+    np.testing.assert_array_equal(hess, fd_hessian(fd.g, x))
 
 
 def test_fd_hessian_is_symmetric():
